@@ -490,6 +490,30 @@ mod tests {
     }
 
     #[test]
+    fn au_nn_rl_rejects_a_changed_action_count() {
+        let mut e = Engine::new(Mode::Train);
+        e.au_config("RL", ModelConfig::q_dnn(&[4])).unwrap();
+        e.au_extract("S", &[0.5, 0.25]);
+        e.au_nn_rl("RL", "S", 0.0, false, "out", 2).unwrap();
+        e.au_extract("S", &[0.5, 0.25]);
+        let err = e.au_nn_rl("RL", "S", 0.0, false, "out", 3).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                AuError::ActionCountChanged {
+                    built: 2,
+                    got: 3,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        let msg = err.to_string();
+        assert!(msg.contains("2 actions") && msg.contains('3'), "{msg}");
+        assert!(!msg.contains("inputs"), "{msg}");
+    }
+
+    #[test]
     fn algorithm_mismatch_is_rejected() {
         let mut e = Engine::new(Mode::Train);
         e.au_config("SL", ModelConfig::dnn(&[4])).unwrap();
@@ -551,12 +575,9 @@ mod tests {
     }
 
     #[test]
-    fn restore_invalidates_cached_weight_views() {
-        // Training builds cached transposed-weight views inside the layers;
-        // a restore must drop them so later passes never use a transpose of
-        // parameters that have since been replaced. Observable contract:
-        // predictions are unchanged across restore (θ untouched, caches
-        // rebuilt from live weights) and training keeps working afterwards.
+    fn restore_keeps_theta_serving_and_learning() {
+        // Restore rolls π back and leaves θ alone: predictions are
+        // unchanged across restore and training keeps working afterwards.
         au_nn::set_init_seed(31);
         let mut e = Engine::new(Mode::Train);
         e.au_config("M", ModelConfig::dnn(&[8]).with_learning_rate(0.05))
@@ -572,8 +593,7 @@ mod tests {
         e.au_restore().unwrap();
         let after = e.predict("M", &[0.5]).unwrap();
         assert_eq!(before, after, "θ and its served values survive restore");
-        // Backward passes after the restore rebuild caches from live
-        // weights and keep learning.
+        // Training after the restore keeps converging.
         for step in 0..200 {
             let x = (step % 10) as f64 / 10.0;
             e.au_extract("F", &[x]);

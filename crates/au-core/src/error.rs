@@ -29,6 +29,16 @@ pub enum AuError {
         /// Width of the offending input.
         got: usize,
     },
+    /// An RL model was called with a different action count than it was
+    /// built for.
+    ActionCountChanged {
+        /// Model name.
+        model: String,
+        /// Action count the model was built with.
+        built: usize,
+        /// Action count of the offending call.
+        got: usize,
+    },
     /// An SL primitive was applied to an RL model or vice versa.
     WrongAlgorithm {
         /// Model name.
@@ -67,6 +77,10 @@ impl fmt::Display for AuError {
             AuError::InputSizeChanged { model, built, got } => write!(
                 f,
                 "model `{model}` was built for {built} inputs but received {got}"
+            ),
+            AuError::ActionCountChanged { model, built, got } => write!(
+                f,
+                "model `{model}` was built for {built} actions but was asked for {got}"
             ),
             AuError::WrongAlgorithm { model, expected } => {
                 write!(f, "model `{model}` does not use a {expected} algorithm")

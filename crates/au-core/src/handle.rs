@@ -652,7 +652,10 @@ impl EngineHandle {
     /// # Errors
     ///
     /// [`AuError::UnknownModel`], [`AuError::MissingData`] (empty π(`ext`)),
-    /// or [`AuError::WrongAlgorithm`] for AdamOpt models.
+    /// [`AuError::WrongAlgorithm`] for AdamOpt models,
+    /// [`AuError::InputSizeChanged`] for a state of a different width, or
+    /// [`AuError::ActionCountChanged`] for a different `n_actions` than the
+    /// model was built with.
     pub fn au_nn_rl(
         &self,
         model: &str,
@@ -807,13 +810,10 @@ impl EngineHandle {
     pub fn au_restore(&self) -> Result<(), AuError> {
         let _t = t_time!("au_core.au_restore");
         t_count!("au_core.restores");
-        {
-            let mut d = pi_lock(&self.shared.db);
-            let (db, marks) = d.checkpoints.last().cloned().ok_or(AuError::NoCheckpoint)?;
-            d.db = db;
-            d.label_marks = marks;
-        }
-        self.invalidate_model_caches();
+        let mut d = pi_lock(&self.shared.db);
+        let (db, marks) = d.checkpoints.last().cloned().ok_or(AuError::NoCheckpoint)?;
+        d.db = db;
+        d.label_marks = marks;
         Ok(())
     }
 
@@ -841,19 +841,7 @@ impl EngineHandle {
             d.db = ckpt.db.clone();
             d.label_marks = ckpt.label_marks.clone();
         }
-        self.invalidate_model_caches();
         ckpt.program.clone()
-    }
-
-    /// Drops every model's cached weight views (transposed-weight
-    /// tensors). Restores roll program state back while θ keeps learning,
-    /// and the rolled-back host may have mutated parameters through any
-    /// handle; a stale cached view would serve a transpose of weights that
-    /// no longer exist. π lock and entry locks are never held together.
-    fn invalidate_model_caches(&self) {
-        for entry in self.shared.registry.entries() {
-            write(&entry).instance.invalidate_cached_weights();
-        }
     }
 
     // ------------------------------------------------------------------

@@ -273,7 +273,7 @@ impl ModelInstance {
                     });
                 }
                 if agent.n_actions() != n_actions {
-                    return Err(AuError::InputSizeChanged {
+                    return Err(AuError::ActionCountChanged {
                         model: name.to_owned(),
                         built: agent.n_actions(),
                         got: n_actions,
@@ -313,18 +313,6 @@ impl ModelInstance {
                     train_steps: *train_steps,
                 })
             }
-        }
-    }
-
-    /// Drops cached weight views (transposes) on every network the backend
-    /// holds. Called on checkpoint restore: a host that rolls state back may
-    /// have mutated parameters through any path, and a stale cached view
-    /// would silently poison later backward passes.
-    pub fn invalidate_cached_weights(&mut self) {
-        match self.backend.as_mut() {
-            Some(Backend::Supervised { net, .. }) => net_mut(net).invalidate_cached_weights(),
-            Some(Backend::Reinforcement { agent, .. }) => agent.invalidate_cached_weights(),
-            None => {}
         }
     }
 }

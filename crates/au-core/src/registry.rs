@@ -127,15 +127,6 @@ impl ModelRegistry {
         Ok(())
     }
 
-    /// Clones every registered entry handle. Shard locks are released
-    /// before any entry is locked, preserving the lock discipline above.
-    pub fn entries(&self) -> Vec<SharedEntry> {
-        self.shards
-            .iter()
-            .flat_map(|s| shard_read(s).values().cloned().collect::<Vec<_>>())
-            .collect()
-    }
-
     /// Registered-model count per shard, in shard order — the occupancy
     /// stats surfaced by the observability plane's `/health` endpoint.
     pub fn shard_sizes(&self) -> Vec<usize> {

@@ -27,6 +27,15 @@ impl Activation {
         }
     }
 
+    /// Makes `out` the element-wise activation of `input`, reusing `out`'s
+    /// allocation.
+    fn apply_into(self, input: &Tensor, out: &mut Tensor) {
+        out.copy_from(input);
+        for v in out.data_mut() {
+            *v = self.apply(*v);
+        }
+    }
+
     /// Derivative expressed in terms of the activation *output* `y`.
     pub fn derivative_from_output(self, y: f32) -> f32 {
         match self {
@@ -65,11 +74,13 @@ impl Activation {
     }
 }
 
-/// Layer wrapper holding the cached output for the backward pass.
+/// Layer wrapper holding the output (which the backward pass reads) and
+/// the input-gradient buffer.
 #[derive(Debug)]
 pub struct ActivationLayer {
     kind: Activation,
-    cached_output: Option<Tensor>,
+    output: Tensor,
+    grad_in: Tensor,
 }
 
 impl ActivationLayer {
@@ -77,44 +88,33 @@ impl ActivationLayer {
     pub fn new(kind: Activation) -> Self {
         ActivationLayer {
             kind,
-            cached_output: None,
+            output: Tensor::default(),
+            grad_in: Tensor::default(),
         }
     }
 }
 
 impl Layer for ActivationLayer {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let out = self.infer(input);
-        if train {
-            self.cached_output = Some(out.clone());
-        }
-        out
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        input.map(|x| self.kind.apply(x))
+    fn forward(&mut self, input: &Tensor, _train: bool) -> &Tensor {
+        self.kind.apply_into(input, &mut self.output);
+        &self.output
     }
 
     fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
-        out.copy_from(input);
-        for v in out.data_mut() {
-            *v = self.kind.apply(*v);
-        }
+        self.kind.apply_into(input, out);
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let out = self
-            .cached_output
-            .as_ref()
-            .expect("backward called before forward");
-        assert_eq!(out.shape(), grad_out.shape(), "gradient shape mismatch");
-        let data = out
-            .data()
-            .iter()
-            .zip(grad_out.data())
-            .map(|(&y, &g)| g * self.kind.derivative_from_output(y))
-            .collect();
-        Tensor::from_vec(grad_out.shape(), data)
+    fn backward(&mut self, grad_out: &Tensor) -> &Tensor {
+        assert_eq!(
+            self.output.shape(),
+            grad_out.shape(),
+            "gradient shape mismatch"
+        );
+        self.grad_in.copy_from(grad_out);
+        for (g, &y) in self.grad_in.data_mut().iter_mut().zip(self.output.data()) {
+            *g *= self.kind.derivative_from_output(y);
+        }
+        &self.grad_in
     }
 
     fn spec(&self) -> LayerSpec {

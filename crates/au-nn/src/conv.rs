@@ -20,19 +20,25 @@ pub struct Conv2d {
     stride: usize,
     in_h: usize,
     in_w: usize,
-    /// `[out_c, in_c * k * k]` — each output channel's flattened kernel.
-    weight: Param,
-    /// `[1, out_c]`.
-    bias: Param,
+    /// `[weight, bias]`: the weight is `[out_c, in_c * k * k]` (each output
+    /// channel's flattened kernel), the bias `[1, out_c]`.
+    params: [Param; 2],
     /// im2col patch matrices from the last training forward, one
     /// `[fan_in, patches]` block per batch row; the backward pass reuses
     /// them for the weight-gradient GEMM.
-    cached_cols: Option<Vec<f32>>,
+    cols: Vec<f32>,
+    /// Batch size of the last training forward (0 before the first).
     cached_batch: usize,
-    /// `Wᵀ` (`[fan_in, out_c]`) memoized for the input-gradient GEMM;
-    /// rebuilt lazily after [`Layer::invalidate_cached_weights`].
-    cached_wt: Option<Tensor>,
+    output: Tensor,
+    grad_in: Tensor,
+    /// Per-row input-gradient patch matrix `Wᵀ·dy`, before col2im.
+    dcol: Vec<f32>,
 }
+
+/// Index of the weight in [`Conv2d`]'s parameters.
+const WEIGHT: usize = 0;
+/// Index of the bias in [`Conv2d`]'s parameters.
+const BIAS: usize = 1;
 
 impl Conv2d {
     /// Creates a convolution over `[in_channels, in_h, in_w]` inputs.
@@ -48,32 +54,17 @@ impl Conv2d {
         in_h: usize,
         in_w: usize,
     ) -> Self {
-        assert!(
-            in_channels > 0 && out_channels > 0,
-            "channels must be positive"
-        );
-        assert!(
-            kernel > 0 && stride > 0,
-            "kernel and stride must be positive"
-        );
-        assert!(
-            kernel <= in_h && kernel <= in_w,
-            "kernel {kernel} exceeds input {in_h}x{in_w}"
-        );
         let fan_in = in_channels * kernel * kernel;
-        Conv2d {
+        Conv2d::from_weights(
             in_channels,
             out_channels,
             kernel,
             stride,
             in_h,
             in_w,
-            weight: Param::new(xavier(fan_in, out_channels, &[out_channels, fan_in])),
-            bias: Param::new(Tensor::zeros(&[1, out_channels])),
-            cached_cols: None,
-            cached_batch: 0,
-            cached_wt: None,
-        }
+            xavier(fan_in, out_channels, &[out_channels, fan_in]),
+            Tensor::zeros(&[1, out_channels]),
+        )
     }
 
     /// Reconstructs a convolution from saved weights.
@@ -88,8 +79,6 @@ impl Conv2d {
         weight: Tensor,
         bias: Tensor,
     ) -> Self {
-        // Constructed directly (not via `new`) so loading a saved model
-        // does not advance the global initialization stream.
         assert!(
             in_channels > 0 && out_channels > 0,
             "channels must be positive"
@@ -112,11 +101,12 @@ impl Conv2d {
             stride,
             in_h,
             in_w,
-            weight: Param::new(weight),
-            bias: Param::new(bias),
-            cached_cols: None,
+            params: [Param::new(weight), Param::new(bias)],
+            cols: Vec::new(),
             cached_batch: 0,
-            cached_wt: None,
+            output: Tensor::default(),
+            grad_in: Tensor::default(),
+            dcol: Vec::new(),
         }
     }
 
@@ -179,70 +169,66 @@ impl Conv2d {
         }
     }
 
-    /// Forward pass for one batch row: pre-fills `out_row` with the
-    /// per-channel bias, then accumulates `W [out_c, fan_in] × col
-    /// [fan_in, patches]` on top. Per output element that is `bias + Σ_f`
-    /// in ascending-`f` order — bit-identical to the scalar loop nest this
-    /// replaced.
-    fn forward_row(&self, col: &[f32], out_row: &mut [f32]) {
-        let _t = t_time!("au_nn.gemm");
-        let patches = self.out_h() * self.out_w();
-        for (oc, chunk) in out_row.chunks_exact_mut(patches).enumerate() {
-            chunk.fill(self.bias.value.data()[oc]);
-        }
-        crate::kernels::gemm_acc(
-            out_row,
-            self.weight.value.data(),
-            col,
-            self.out_channels,
-            self.fan_in(),
-            patches,
+    fn assert_input(&self, input: &Tensor) {
+        assert_eq!(
+            input.row_len(),
+            self.in_len(),
+            "conv2d expected {} features, got {}",
+            self.in_len(),
+            input.row_len()
         );
     }
 }
 
+/// Forward pass for one batch row of a convolution with `params = [W, b]`:
+/// pre-fills `out_row` with the per-channel bias, then accumulates `W
+/// [out_c, fan_in] × col [fan_in, patches]` on top. Per output element that
+/// is `bias + Σ_f` in ascending-`f` order — bit-identical to the scalar
+/// loop nest this replaced.
+fn forward_row(params: &[Param; 2], col: &[f32], out_row: &mut [f32]) {
+    let _t = t_time!("au_nn.gemm");
+    let weight = &params[WEIGHT].value;
+    let (out_channels, fan_in) = (weight.shape()[0], weight.shape()[1]);
+    let patches = out_row.len() / out_channels;
+    for (chunk, &b) in out_row
+        .chunks_exact_mut(patches)
+        .zip(params[BIAS].value.data())
+    {
+        chunk.fill(b);
+    }
+    crate::kernels::gemm_acc(out_row, weight.data(), col, out_channels, fan_in, patches);
+}
+
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert_eq!(
-            input.row_len(),
-            self.in_len(),
-            "conv2d expected {} features, got {}",
-            self.in_len(),
-            input.row_len()
-        );
+    fn forward(&mut self, input: &Tensor, train: bool) -> &Tensor {
+        self.assert_input(input);
         let batch = input.batch();
         let col_len = self.fan_in() * self.out_h() * self.out_w();
-        let mut out = Tensor::zeros(&[batch, self.out_len()]);
-        let mut cols = vec![0.0f32; batch * col_len];
-        for b in 0..batch {
-            let col = &mut cols[b * col_len..(b + 1) * col_len];
+        let out_len = self.out_len();
+        // `mem::take` swaps in an empty Vec (no allocation), so
+        // `im2col_row` can borrow the layer while it fills the buffer.
+        let mut cols = std::mem::take(&mut self.cols);
+        cols.resize(batch * col_len, 0.0);
+        for (b, col) in cols.chunks_exact_mut(col_len).enumerate() {
             self.im2col_row(input.row_slice(b), col);
-            let out_len = self.out_len();
-            self.forward_row(col, &mut out.data_mut()[b * out_len..(b + 1) * out_len]);
         }
-        if train {
-            // The backward pass consumes the patch matrices, not the raw
-            // input: dW is a GEMM against them.
-            self.cached_cols = Some(cols);
-            self.cached_batch = batch;
+        self.cols = cols;
+        self.output.resize_zeroed(&[batch, out_len]);
+        for (col, out_row) in self
+            .cols
+            .chunks_exact(col_len)
+            .zip(self.output.data_mut().chunks_exact_mut(out_len))
+        {
+            forward_row(&self.params, col, out_row);
         }
-        out
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let mut out = Tensor::default();
-        self.infer_into(input, &mut out);
-        out
+        // The backward pass consumes the patch matrices, not the raw
+        // input: dW is a GEMM against them.
+        self.cached_batch = if train { batch } else { 0 };
+        &self.output
     }
 
     fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
-        assert_eq!(
-            input.row_len(),
-            self.in_len(),
-            "conv2d expected {} features, got {}",
-            self.in_len(),
-            input.row_len()
-        );
+        self.assert_input(input);
         let batch = input.batch();
         let col_len = self.fan_in() * self.out_h() * self.out_w();
         let out_len = self.out_len();
@@ -255,71 +241,71 @@ impl Layer for Conv2d {
             let mut col = vec![0.0f32; col_len];
             for (i, out_row) in chunk.chunks_exact_mut(out_len).enumerate() {
                 self.im2col_row(input.row_slice(first_row + i), &mut col);
-                self.forward_row(&col, out_row);
+                forward_row(&self.params, &col, out_row);
             }
         });
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor) -> &Tensor {
         let (oh, ow) = (self.out_h(), self.out_w());
         let patches = oh * ow;
         let fan_in = self.fan_in();
         let col_len = fan_in * patches;
         let batch = self.cached_batch;
+        assert!(
+            batch > 0 && grad_out.shape() == [batch, self.out_len()],
+            "backward called before forward"
+        );
         let in_len = self.in_len();
         let (out_channels, in_channels) = (self.out_channels, self.in_channels);
         let (k, stride, in_h, in_w) = (self.kernel, self.stride, self.in_h, self.in_w);
-        let cols = self
-            .cached_cols
-            .as_ref()
-            .expect("backward called before forward");
-        let mut grad_in = Tensor::zeros(&[batch, in_len]);
-        // Wᵀ for the input-gradient GEMM, transposed once per weight
-        // version rather than once per call.
-        let wt = self
-            .cached_wt
-            .get_or_insert_with(|| self.weight.value.transpose());
-        let mut colt = vec![0.0f32; col_len];
-        let mut dcol = vec![0.0f32; col_len];
-        for b in 0..batch {
-            let go_row = grad_out.row_slice(b);
-            let col = &cols[b * col_len..(b + 1) * col_len];
+        let [weight, bias] = &mut self.params;
+        self.grad_in.resize_zeroed(&[batch, in_len]);
+        self.dcol.resize(col_len, 0.0);
+        for ((go_row, col), gi_row) in grad_out
+            .data()
+            .chunks_exact(out_channels * patches)
+            .zip(self.cols.chunks_exact(col_len))
+            .zip(self.grad_in.data_mut().chunks_exact_mut(in_len))
+        {
             // db[oc] += Σ_patches dy — ascending patch order per channel.
-            for (oc, chunk) in go_row.chunks_exact(patches).enumerate() {
-                let acc = &mut self.bias.grad.data_mut()[oc];
+            for (chunk, acc) in go_row.chunks_exact(patches).zip(bias.grad.data_mut()) {
                 for &g in chunk {
                     *acc += g;
                 }
             }
-            // dW [out_c, fan_in] += dy [out_c, patches] · colᵀ [patches,
-            // fan_in]: ascending-patch accumulation, matching the loop nest
-            // this replaced.
-            for f in 0..fan_in {
-                for p in 0..patches {
-                    colt[p * fan_in + f] = col[f * patches + p];
-                }
-            }
-            crate::kernels::gemm_acc(
-                self.weight.grad.data_mut(),
+            // dW [out_c, fan_in] += dy [out_c, patches] · colᵀ, read
+            // straight from the `[fan_in, patches]` patch matrix:
+            // ascending-patch accumulation, matching the loop nest this
+            // replaced.
+            crate::kernels::gemm_nt_acc(
+                weight.grad.data_mut(),
                 go_row,
-                &colt,
+                col,
                 out_channels,
                 patches,
                 fan_in,
             );
-            // dx via dcol = Wᵀ [fan_in, out_c] · dy [out_c, patches],
-            // scattered back through the im2col mapping (col2im). The
-            // scatter visits kernel elements in ascending-f order, which
-            // regroups the additions relative to the old oc-major nest —
-            // equal within f32 rounding, covered by the 1e-6 oracle tests.
-            dcol.fill(0.0);
-            crate::kernels::gemm_acc(&mut dcol, wt.data(), go_row, fan_in, out_channels, patches);
-            let gi_row = &mut grad_in.data_mut()[b * in_len..(b + 1) * in_len];
+            // dx via dcol = Wᵀ [fan_in, out_c] · dy [out_c, patches], read
+            // straight from W, scattered back through the im2col mapping
+            // (col2im). The scatter visits kernel elements in ascending-f
+            // order, which regroups the additions relative to the old
+            // oc-major nest — equal within f32 rounding, covered by the
+            // 1e-6 oracle tests.
+            self.dcol.fill(0.0);
+            crate::kernels::gemm_tn_acc(
+                &mut self.dcol,
+                weight.value.data(),
+                go_row,
+                out_channels,
+                fan_in,
+                patches,
+            );
             let mut f = 0;
             for ic in 0..in_channels {
                 for ky in 0..k {
                     for kx in 0..k {
-                        let src = &dcol[f * patches..(f + 1) * patches];
+                        let src = &self.dcol[f * patches..(f + 1) * patches];
                         for oy in 0..oh {
                             let iy = oy * stride + ky;
                             let base = (ic * in_h + iy) * in_w + kx;
@@ -332,11 +318,11 @@ impl Layer for Conv2d {
                 }
             }
         }
-        grad_in
+        &self.grad_in
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
+    fn params_mut(&mut self) -> &mut [Param] {
+        &mut self.params
     }
 
     fn out_features(&self) -> Option<usize> {
@@ -351,13 +337,9 @@ impl Layer for Conv2d {
             stride: self.stride,
             in_h: self.in_h,
             in_w: self.in_w,
-            weight: self.weight.value.clone(),
-            bias: self.bias.value.clone(),
+            weight: self.params[WEIGHT].value.clone(),
+            bias: self.params[BIAS].value.clone(),
         }
-    }
-
-    fn invalidate_cached_weights(&mut self) {
-        self.cached_wt = None;
     }
 }
 
@@ -372,8 +354,8 @@ impl Conv2d {
         for b in 0..input.batch() {
             let row = input.row_slice(b);
             for oc in 0..self.out_channels {
-                let wrow = &self.weight.value.data()[oc * self.fan_in()..][..self.fan_in()];
-                let bias = self.bias.value.data()[oc];
+                let wrow = &self.params[WEIGHT].value.data()[oc * self.fan_in()..][..self.fan_in()];
+                let bias = self.params[BIAS].value.data()[oc];
                 for oy in 0..oh {
                     for ox in 0..ow {
                         let mut acc = bias;
@@ -408,8 +390,8 @@ impl Conv2d {
         let (oh, ow) = (self.out_h(), self.out_w());
         let k = self.kernel;
         let mut grad_in = Tensor::zeros(&[input.batch(), self.in_len()]);
-        let mut dw = Tensor::zeros(self.weight.value.shape());
-        let mut db = Tensor::zeros(self.bias.value.shape());
+        let mut dw = Tensor::zeros(self.params[WEIGHT].value.shape());
+        let mut db = Tensor::zeros(self.params[BIAS].value.shape());
         for b in 0..input.batch() {
             let in_row = input.row_slice(b);
             let go_row = grad_out.row_slice(b);
@@ -430,7 +412,7 @@ impl Conv2d {
                                 for kx in 0..k {
                                     dw.data_mut()[wbase + widx] += g * in_row[base + kx];
                                     grad_in.data_mut()[b * self.in_len() + base + kx] +=
-                                        g * self.weight.value.data()[wbase + widx];
+                                        g * self.params[WEIGHT].value.data()[wbase + widx];
                                     widx += 1;
                                 }
                             }
@@ -446,44 +428,31 @@ impl Conv2d {
 /// Non-overlapping 2-D max pooling (window == stride).
 #[derive(Debug)]
 pub struct MaxPool2d {
+    shape: PoolShape,
+    /// Flat input index of the maximum chosen for each output element.
+    argmax: Vec<usize>,
+    /// Batch size of the last forward (0 before the first).
+    cached_batch: usize,
+    output: Tensor,
+    grad_in: Tensor,
+}
+
+/// The geometry of a [`MaxPool2d`], split out so the pooling sweep can
+/// borrow it while writing the layer's own buffers.
+#[derive(Debug, Clone, Copy)]
+struct PoolShape {
     channels: usize,
     window: usize,
     in_h: usize,
     in_w: usize,
-    /// Flat input index of the maximum chosen for each output element.
-    cached_argmax: Option<Vec<usize>>,
-    cached_batch: usize,
 }
 
-impl MaxPool2d {
-    /// Creates a pooling layer over `[channels, in_h, in_w]` inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero or exceeds the spatial dimensions.
-    pub fn new(channels: usize, window: usize, in_h: usize, in_w: usize) -> Self {
-        assert!(window > 0, "window must be positive");
-        assert!(
-            window <= in_h && window <= in_w,
-            "window {window} exceeds input {in_h}x{in_w}"
-        );
-        MaxPool2d {
-            channels,
-            window,
-            in_h,
-            in_w,
-            cached_argmax: None,
-            cached_batch: 0,
-        }
-    }
-
-    /// Output height.
-    pub fn out_h(&self) -> usize {
+impl PoolShape {
+    fn out_h(&self) -> usize {
         self.in_h / self.window
     }
 
-    /// Output width.
-    pub fn out_w(&self) -> usize {
+    fn out_w(&self) -> usize {
         self.in_w / self.window
     }
 
@@ -494,19 +463,22 @@ impl MaxPool2d {
     fn out_len(&self) -> usize {
         self.channels * self.out_h() * self.out_w()
     }
-}
 
-impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    /// Pools `input` into `out`, recording each maximum's flat input index
+    /// in `argmax` when given.
+    fn pool(&self, input: &Tensor, out: &mut Tensor, mut argmax: Option<&mut Vec<usize>>) {
         assert_eq!(
             input.row_len(),
             self.in_len(),
             "maxpool input size mismatch"
         );
-        let (oh, ow) = (self.out_h(), self.out_w());
+        let (oh, ow, out_len) = (self.out_h(), self.out_w(), self.out_len());
         let w = self.window;
-        let mut out = Tensor::zeros(&[input.batch(), self.out_len()]);
-        let mut argmax = vec![0usize; input.batch() * self.out_len()];
+        out.resize_zeroed(&[input.batch(), out_len]);
+        if let Some(argmax) = argmax.as_deref_mut() {
+            argmax.clear();
+            argmax.resize(input.batch() * out_len, 0);
+        }
         for b in 0..input.batch() {
             let row = input.row_slice(b);
             for c in 0..self.channels {
@@ -525,83 +497,98 @@ impl Layer for MaxPool2d {
                                 }
                             }
                         }
-                        let oidx = (c * oh + oy) * ow + ox;
-                        out.data_mut()[b * self.out_len() + oidx] = best;
-                        argmax[b * self.out_len() + oidx] = best_idx;
+                        let oidx = b * out_len + (c * oh + oy) * ow + ox;
+                        out.data_mut()[oidx] = best;
+                        if let Some(argmax) = argmax.as_deref_mut() {
+                            argmax[oidx] = best_idx;
+                        }
                     }
                 }
             }
         }
-        self.cached_argmax = Some(argmax);
-        self.cached_batch = input.batch();
-        out
+    }
+}
+
+impl MaxPool2d {
+    /// Creates a pooling layer over `[channels, in_h, in_w]` inputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero or exceeds the spatial dimensions.
+    pub fn new(channels: usize, window: usize, in_h: usize, in_w: usize) -> Self {
+        assert!(window > 0, "window must be positive");
+        assert!(
+            window <= in_h && window <= in_w,
+            "window {window} exceeds input {in_h}x{in_w}"
+        );
+        MaxPool2d {
+            shape: PoolShape {
+                channels,
+                window,
+                in_h,
+                in_w,
+            },
+            argmax: Vec::new(),
+            cached_batch: 0,
+            output: Tensor::default(),
+            grad_in: Tensor::default(),
+        }
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let mut out = Tensor::default();
-        self.infer_into(input, &mut out);
-        out
+    /// Output height.
+    pub fn out_h(&self) -> usize {
+        self.shape.out_h()
+    }
+
+    /// Output width.
+    pub fn out_w(&self) -> usize {
+        self.shape.out_w()
+    }
+}
+
+impl Layer for MaxPool2d {
+    fn forward(&mut self, input: &Tensor, _train: bool) -> &Tensor {
+        self.shape
+            .pool(input, &mut self.output, Some(&mut self.argmax));
+        self.cached_batch = input.batch();
+        &self.output
     }
 
     fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
-        assert_eq!(
-            input.row_len(),
-            self.in_len(),
-            "maxpool input size mismatch"
-        );
-        let (oh, ow) = (self.out_h(), self.out_w());
-        let w = self.window;
-        out.resize_zeroed(&[input.batch(), self.out_len()]);
-        for b in 0..input.batch() {
-            let row = input.row_slice(b);
-            for c in 0..self.channels {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        for ky in 0..w {
-                            for kx in 0..w {
-                                let iy = oy * w + ky;
-                                let ix = ox * w + kx;
-                                let idx = (c * self.in_h + iy) * self.in_w + ix;
-                                if row[idx] > best {
-                                    best = row[idx];
-                                }
-                            }
-                        }
-                        let oidx = (c * oh + oy) * ow + ox;
-                        out.data_mut()[b * self.out_len() + oidx] = best;
-                    }
-                }
-            }
-        }
+        self.shape.pool(input, out, None);
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let argmax = self
-            .cached_argmax
-            .as_ref()
-            .expect("backward called before forward");
-        let mut grad_in = Tensor::zeros(&[self.cached_batch, self.in_len()]);
-        for b in 0..self.cached_batch {
-            let go = grad_out.row_slice(b);
-            for (o, &g) in go.iter().enumerate() {
-                let idx = argmax[b * self.out_len() + o];
-                grad_in.data_mut()[b * self.in_len() + idx] += g;
+    fn backward(&mut self, grad_out: &Tensor) -> &Tensor {
+        let (batch, in_len, out_len) =
+            (self.cached_batch, self.shape.in_len(), self.shape.out_len());
+        assert!(
+            batch > 0 && grad_out.shape() == [batch, out_len],
+            "backward called before forward"
+        );
+        self.grad_in.resize_zeroed(&[batch, in_len]);
+        for ((go, argmax), gi) in grad_out
+            .data()
+            .chunks_exact(out_len)
+            .zip(self.argmax.chunks_exact(out_len))
+            .zip(self.grad_in.data_mut().chunks_exact_mut(in_len))
+        {
+            for (&g, &idx) in go.iter().zip(argmax) {
+                gi[idx] += g;
             }
         }
-        grad_in
+        &self.grad_in
     }
 
     fn out_features(&self) -> Option<usize> {
-        Some(self.out_len())
+        Some(self.shape.out_len())
     }
 
     fn spec(&self) -> LayerSpec {
         LayerSpec::MaxPool2d {
-            channels: self.channels,
-            window: self.window,
-            in_h: self.in_h,
-            in_w: self.in_w,
+            channels: self.shape.channels,
+            window: self.shape.window,
+            in_h: self.shape.in_h,
+            in_w: self.shape.in_w,
         }
     }
 }
@@ -614,23 +601,26 @@ impl Layer for MaxPool2d {
 #[derive(Debug)]
 pub struct Flatten {
     features: usize,
+    output: Tensor,
+    grad_in: Tensor,
 }
 
 impl Flatten {
     /// Creates a flatten marker for `features` flat features.
     pub fn new(features: usize) -> Self {
-        Flatten { features }
+        Flatten {
+            features,
+            output: Tensor::default(),
+            grad_in: Tensor::default(),
+        }
     }
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        self.infer(input)
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: &Tensor, _train: bool) -> &Tensor {
         assert_eq!(input.row_len(), self.features, "flatten size mismatch");
-        input.clone()
+        self.output.copy_from(input);
+        &self.output
     }
 
     fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
@@ -638,8 +628,9 @@ impl Layer for Flatten {
         out.copy_from(input);
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        grad_out.clone()
+    fn backward(&mut self, grad_out: &Tensor) -> &Tensor {
+        self.grad_in.copy_from(grad_out);
+        &self.grad_in
     }
 
     fn out_features(&self) -> Option<usize> {
@@ -742,8 +733,8 @@ mod tests {
     fn flatten_is_identity() {
         let mut f = Flatten::new(4);
         let x = Tensor::row(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(f.forward(&x, false), x);
-        assert_eq!(f.backward(&x), x);
+        assert_eq!(f.forward(&x, false), &x);
+        assert_eq!(f.backward(&x), &x);
     }
 
     #[test]
@@ -817,7 +808,7 @@ mod tests {
             let dy_len = batch * conv.out_len();
             let dy = Tensor::from_vec(&[batch, conv.out_len()], pseudo(dy_len, 37));
             let _ = conv.forward(&x, true);
-            let grad_in = conv.backward(&dy);
+            let grad_in = conv.backward(&dy).clone();
             let (want_gi, want_dw, want_db) = conv.backward_naive(&x, &dy);
             let close = |got: &[f32], want: &[f32], what: &str| {
                 for (g, w) in got.iter().zip(want) {
@@ -834,10 +825,10 @@ mod tests {
         }
     }
 
-    /// A stale cached Wᵀ would poison backward after a weight mutation;
-    /// the invalidation hook must drop it.
+    /// Backward reads the live weights: after a direct weight mutation the
+    /// next pass reflects it with no cache to invalidate.
     #[test]
-    fn invalidation_refreshes_cached_transpose() {
+    fn backward_reads_live_weights_after_mutation() {
         let mut conv = Conv2d::from_weights(
             1,
             1,
@@ -851,22 +842,18 @@ mod tests {
         let x = Tensor::row(&pseudo(9, 41));
         let dy = Tensor::row(&pseudo(4, 43));
         let _ = conv.forward(&x, true);
-        let _ = conv.backward(&dy); // populates cached_wt
+        let _ = conv.backward(&dy);
         for p in conv.params_mut() {
             for v in p.value.data_mut() {
                 *v *= 2.0;
             }
             p.zero_grad();
         }
-        conv.invalidate_cached_weights();
         let _ = conv.forward(&x, true);
-        let got = conv.backward(&dy);
+        let got = conv.backward(&dy).clone();
         let (want, _, _) = conv.backward_naive(&x, &dy);
         for (g, w) in got.data().iter().zip(want.data()) {
-            assert!(
-                (g - w).abs() < 1e-6,
-                "stale transpose survived invalidation"
-            );
+            assert!((g - w).abs() < 1e-6, "backward used stale weights");
         }
     }
 }

@@ -4,6 +4,11 @@ use crate::init::xavier;
 use crate::layer::{Layer, LayerSpec, Param};
 use crate::tensor::Tensor;
 
+/// Index of the weight `[in, out]` in [`Dense`]'s parameters.
+const WEIGHT: usize = 0;
+/// Index of the bias `[1, out]` in [`Dense`]'s parameters.
+const BIAS: usize = 1;
+
 /// A fully connected layer computing `y = x·W + b`.
 ///
 /// Input `[batch, in]`, output `[batch, out]`.
@@ -11,12 +16,12 @@ use crate::tensor::Tensor;
 pub struct Dense {
     in_features: usize,
     out_features: usize,
-    weight: Param,
-    bias: Param,
-    cached_input: Option<Tensor>,
-    /// `Wᵀ` memoized for the backward pass (`dx = dy · Wᵀ`); rebuilt lazily
-    /// after [`Layer::invalidate_cached_weights`].
-    cached_wt: Option<Tensor>,
+    /// `[weight, bias]`.
+    params: [Param; 2],
+    /// Copy of the last training input (`dW = xᵀ·dy` needs it).
+    input: Tensor,
+    output: Tensor,
+    grad_in: Tensor,
 }
 
 impl Dense {
@@ -28,18 +33,10 @@ impl Dense {
     pub fn new(in_features: usize, out_features: usize) -> Self {
         assert!(in_features > 0, "in_features must be positive");
         assert!(out_features > 0, "out_features must be positive");
-        Dense {
-            in_features,
-            out_features,
-            weight: Param::new(xavier(
-                in_features,
-                out_features,
-                &[in_features, out_features],
-            )),
-            bias: Param::new(Tensor::zeros(&[1, out_features])),
-            cached_input: None,
-            cached_wt: None,
-        }
+        Dense::from_weights(
+            xavier(in_features, out_features, &[in_features, out_features]),
+            Tensor::zeros(&[1, out_features]),
+        )
     }
 
     /// Reconstructs a dense layer from saved weights.
@@ -54,10 +51,10 @@ impl Dense {
         Dense {
             in_features,
             out_features,
-            weight: Param::new(weight),
-            bias: Param::new(bias),
-            cached_input: None,
-            cached_wt: None,
+            params: [Param::new(weight), Param::new(bias)],
+            input: Tensor::default(),
+            output: Tensor::default(),
+            grad_in: Tensor::default(),
         }
     }
 
@@ -67,91 +64,91 @@ impl Dense {
     }
 }
 
+/// `out = input·W + b` for `params = [W, b]`. Zero-init + GEMM + separate
+/// bias row-add: the same operation sequence as `matmul` followed by the
+/// bias loop (a fused bias pre-fill would change the per-element
+/// accumulation order).
+fn affine(params: &[Param; 2], input: &Tensor, out: &mut Tensor) {
+    let weight = &params[WEIGHT].value;
+    let (in_features, n) = (weight.shape()[0], weight.shape()[1]);
+    assert_eq!(
+        input.row_len(),
+        in_features,
+        "dense layer expected {} features, got {}",
+        in_features,
+        input.row_len()
+    );
+    let batch = input.batch();
+    out.resize_zeroed(&[batch, n]);
+    crate::kernels::gemm_acc_par(
+        out.data_mut(),
+        input.data(),
+        weight.data(),
+        batch,
+        in_features,
+        n,
+    );
+    let bias = params[BIAS].value.data();
+    for row in out.data_mut().chunks_exact_mut(n) {
+        for (o, b) in row.iter_mut().zip(bias) {
+            *o += b;
+        }
+    }
+}
+
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let out = self.infer(input);
+    fn forward(&mut self, input: &Tensor, train: bool) -> &Tensor {
+        affine(&self.params, input, &mut self.output);
         // The backward pass only needs the input during training.
         if train {
-            self.cached_input = Some(input.clone());
+            self.input.copy_from(input);
         }
-        out
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let mut out = Tensor::default();
-        self.infer_into(input, &mut out);
-        out
+        &self.output
     }
 
     fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
+        affine(&self.params, input, out);
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> &Tensor {
+        let (batch, n) = (grad_out.batch(), self.out_features);
         assert_eq!(
-            input.row_len(),
-            self.in_features,
-            "dense layer expected {} features, got {}",
-            self.in_features,
-            input.row_len()
+            self.input.shape(),
+            &[batch, self.in_features],
+            "backward called before forward"
         );
-        // Zero-init + GEMM + separate bias row-add: the same operation
-        // sequence as `matmul` followed by the bias loop, so the result is
-        // bit-identical to the allocating path (a fused bias pre-fill would
-        // change the per-element accumulation order).
-        let batch = input.batch();
-        let n = self.out_features;
-        out.resize_zeroed(&[batch, n]);
-        crate::kernels::gemm_acc_par(
-            out.data_mut(),
-            input.data(),
-            self.weight.value.data(),
+        let [weight, bias] = &mut self.params;
+        // dW = xᵀ · dy, accumulated straight into the gradient buffer
+        // without materializing xᵀ (ascending-sample order).
+        crate::kernels::gemm_tn_acc_sparse(
+            weight.grad.data_mut(),
+            self.input.data(),
+            grad_out.data(),
             batch,
             self.in_features,
             n,
         );
-        let bias = self.bias.value.data();
-        for i in 0..batch {
-            let row = &mut out.data_mut()[i * n..(i + 1) * n];
-            for (o, b) in row.iter_mut().zip(bias) {
-                *o += b;
-            }
-        }
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
-        // dW = xᵀ · dy, accumulated straight into the gradient buffer
-        // without materializing xᵀ (ascending-sample order, same result as
-        // the explicit transpose-then-multiply it replaced).
-        let batch = input.batch();
-        crate::kernels::gemm_tn_acc(
-            self.weight.grad.data_mut(),
-            input.data(),
-            grad_out.data(),
-            batch,
-            self.in_features,
-            self.out_features,
-        );
         // db = Σ_batch dy
-        let n = self.out_features;
-        for i in 0..grad_out.batch() {
-            let row = grad_out.row_slice(i);
-            for (g, d) in self.bias.grad.data_mut()[..n].iter_mut().zip(row) {
+        for row in grad_out.data().chunks_exact(n) {
+            for (g, d) in bias.grad.data_mut().iter_mut().zip(row) {
                 *g += d;
             }
         }
-        // dx = dy · Wᵀ through the memoized transpose: valid until the next
-        // weight mutation, so repeated backward passes between optimizer
-        // steps (gradient checking, minibatch accumulation) pay for the
-        // transpose once.
-        let wt = self
-            .cached_wt
-            .get_or_insert_with(|| self.weight.value.transpose());
-        grad_out.matmul(wt)
+        // dx = dy · Wᵀ read straight from W's `[in, out]` rows.
+        self.grad_in.resize_zeroed(&[batch, self.in_features]);
+        crate::kernels::gemm_nt_acc_par(
+            self.grad_in.data_mut(),
+            grad_out.data(),
+            weight.value.data(),
+            batch,
+            n,
+            self.in_features,
+        );
+        &self.grad_in
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
+    fn params_mut(&mut self) -> &mut [Param] {
+        &mut self.params
     }
 
     fn out_features(&self) -> Option<usize> {
@@ -162,13 +159,9 @@ impl Layer for Dense {
         LayerSpec::Dense {
             in_features: self.in_features,
             out_features: self.out_features,
-            weight: self.weight.value.clone(),
-            bias: self.bias.value.clone(),
+            weight: self.params[WEIGHT].value.clone(),
+            bias: self.params[BIAS].value.clone(),
         }
-    }
-
-    fn invalidate_cached_weights(&mut self) {
-        self.cached_wt = None;
     }
 }
 
@@ -183,6 +176,7 @@ mod tests {
         let mut layer = Dense::from_weights(w, b);
         let out = layer.forward(&Tensor::row(&[3.0, 4.0]), false);
         assert_eq!(out.data(), &[13.0, 28.0]);
+        assert_eq!(layer.infer(&Tensor::row(&[3.0, 4.0])).data(), &[13.0, 28.0]);
     }
 
     #[test]
@@ -206,12 +200,12 @@ mod tests {
         let mut layer = Dense::new(3, 2);
         let a = Tensor::row(&[1.0, 2.0, 3.0]);
         let b = Tensor::row(&[-1.0, 0.5, 2.0]);
-        let ya = layer.forward(&a, false).into_vec();
-        let yb = layer.forward(&b, false).into_vec();
+        let ya = layer.forward(&a, false).clone();
+        let yb = layer.forward(&b, false).clone();
         let batch = Tensor::from_rows(&[&[1.0, 2.0, 3.0], &[-1.0, 0.5, 2.0]]);
         let y = layer.forward(&batch, false);
-        assert_eq!(y.row_slice(0), &ya[..]);
-        assert_eq!(y.row_slice(1), &yb[..]);
+        assert_eq!(y.row_slice(0), ya.data());
+        assert_eq!(y.row_slice(1), yb.data());
     }
 
     #[test]
@@ -233,7 +227,7 @@ mod tests {
             } => {
                 assert_eq!(in_features, 2);
                 assert_eq!(out_features, 2);
-                assert_eq!(weight, layer.weight.value);
+                assert_eq!(weight, layer.params[WEIGHT].value);
             }
             other => panic!("unexpected spec {other:?}"),
         }

@@ -15,7 +15,11 @@ pub struct Dropout {
     /// Deterministic mask source (xorshift), so training runs are
     /// reproducible under a fixed seed.
     state: u64,
-    mask: Option<Vec<f32>>,
+    /// Per-element scale of the last training forward; empty when that
+    /// forward was the identity (TS mode or `p == 0`).
+    mask: Vec<f32>,
+    output: Tensor,
+    grad_in: Tensor,
 }
 
 impl Dropout {
@@ -29,7 +33,9 @@ impl Dropout {
         Dropout {
             p,
             state: 0x9e37_79b9_7f4a_7c15,
-            mask: None,
+            mask: Vec::new(),
+            output: Tensor::default(),
+            grad_in: Tensor::default(),
         }
     }
 
@@ -49,54 +55,42 @@ impl Dropout {
     }
 }
 
-impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if !train || self.p == 0.0 {
-            self.mask = None;
-            return input.clone();
+/// `out = src ⊙ mask` (or a plain copy for an empty mask).
+fn apply_mask(mask: &[f32], src: &Tensor, out: &mut Tensor) {
+    out.copy_from(src);
+    if !mask.is_empty() {
+        for (v, &m) in out.data_mut().iter_mut().zip(mask) {
+            *v *= m;
         }
-        let keep = 1.0 - self.p;
-        let mask: Vec<f32> = (0..input.len())
-            .map(|_| {
-                if self.next_f32() < self.p {
+    }
+}
+
+impl Layer for Dropout {
+    fn forward(&mut self, input: &Tensor, train: bool) -> &Tensor {
+        self.mask.clear();
+        if train && self.p > 0.0 {
+            let keep = 1.0 - self.p;
+            for _ in 0..input.len() {
+                let m = if self.next_f32() < self.p {
                     0.0
                 } else {
                     1.0 / keep
-                }
-            })
-            .collect();
-        let data = input
-            .data()
-            .iter()
-            .zip(&mask)
-            .map(|(&x, &m)| x * m)
-            .collect();
-        self.mask = Some(mask);
-        Tensor::from_vec(input.shape(), data)
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        // Inverted dropout is the identity in deployment mode.
-        input.clone()
+                };
+                self.mask.push(m);
+            }
+        }
+        apply_mask(&self.mask, input, &mut self.output);
+        &self.output
     }
 
     fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
+        // Inverted dropout is the identity in deployment mode.
         out.copy_from(input);
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        match &self.mask {
-            Some(mask) => {
-                let data = grad_out
-                    .data()
-                    .iter()
-                    .zip(mask)
-                    .map(|(&g, &m)| g * m)
-                    .collect();
-                Tensor::from_vec(grad_out.shape(), data)
-            }
-            None => grad_out.clone(),
-        }
+    fn backward(&mut self, grad_out: &Tensor) -> &Tensor {
+        apply_mask(&self.mask, grad_out, &mut self.grad_in);
+        &self.grad_in
     }
 
     fn spec(&self) -> LayerSpec {
@@ -112,7 +106,7 @@ mod tests {
     fn identity_in_test_mode() {
         let mut layer = Dropout::new(0.5);
         let x = Tensor::row(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(layer.forward(&x, false), x);
+        assert_eq!(layer.forward(&x, false), &x);
     }
 
     #[test]
@@ -137,7 +131,7 @@ mod tests {
     fn backward_uses_same_mask() {
         let mut layer = Dropout::new(0.5).with_seed(9);
         let x = Tensor::row(&[1.0; 64]);
-        let y = layer.forward(&x, true);
+        let y = layer.forward(&x, true).clone();
         let g = layer.backward(&Tensor::row(&[1.0; 64]));
         for (a, b) in y.data().iter().zip(g.data()) {
             assert_eq!(*a == 0.0, *b == 0.0, "gradient mask matches forward mask");
@@ -148,7 +142,7 @@ mod tests {
     fn zero_probability_is_identity_even_training() {
         let mut layer = Dropout::new(0.0);
         let x = Tensor::row(&[5.0, -5.0]);
-        assert_eq!(layer.forward(&x, true), x);
+        assert_eq!(layer.forward(&x, true), &x);
     }
 
     #[test]

@@ -34,18 +34,9 @@ pub fn check_gradients(
     max_params: usize,
 ) -> GradCheckReport {
     // Analytic pass: forward + backward without any optimizer update.
-    let output = {
-        let mut x = input.clone();
-        for layer in net.layers_mut().iter_mut() {
-            x = layer.forward(&x, true);
-        }
-        x
-    };
-    let mut grad = loss.gradient(&output, target);
-    for layer in net.layers_mut().iter_mut().rev() {
-        grad = layer.backward(&grad);
-    }
-    // Collect analytic gradients, then probe numerically.
+    let grad = loss.gradient(net.forward_train(input), target);
+    net.backward(&grad);
+    // Probe each parameter numerically against its analytic gradient.
     let mut max_err = 0.0f32;
     let mut checked = 0usize;
     let eps = 1e-2f32;
@@ -53,36 +44,17 @@ pub fn check_gradients(
     for li in 0..layer_count {
         let param_count = net.layers_mut()[li].params_mut().len();
         for pi in 0..param_count {
-            let len = {
-                let params = net.layers_mut()[li].params_mut();
-                params[pi].len().min(max_params)
-            };
+            let len = net.layers_mut()[li].params_mut()[pi].len().min(max_params);
             for i in 0..len {
-                let analytic = {
-                    let params = net.layers_mut()[li].params_mut();
-                    params[pi].grad.data()[i]
-                };
-                let orig = {
-                    let params = net.layers_mut()[li].params_mut();
-                    params[pi].value.data()[i]
-                };
+                let param = &net.layers_mut()[li].params_mut()[pi];
+                let (analytic, orig) = (param.grad.data()[i], param.value.data()[i]);
                 let eval = |net: &mut Network, v: f32| {
-                    {
-                        let mut params = net.layers_mut()[li].params_mut();
-                        params[pi].value.data_mut()[i] = v;
-                    }
-                    let mut x = input.clone();
-                    for layer in net.layers_mut().iter_mut() {
-                        x = layer.forward(&x, true);
-                    }
-                    loss.value(&x, target)
+                    net.layers_mut()[li].params_mut()[pi].value.data_mut()[i] = v;
+                    loss.value(net.forward_train(input), target)
                 };
                 let plus = eval(net, orig + eps);
                 let minus = eval(net, orig - eps);
-                {
-                    let mut params = net.layers_mut()[li].params_mut();
-                    params[pi].value.data_mut()[i] = orig;
-                }
+                net.layers_mut()[li].params_mut()[pi].value.data_mut()[i] = orig;
                 let numeric = (plus - minus) / (2.0 * eps);
                 let denom = analytic.abs().max(numeric.abs()).max(1e-4);
                 let err = (analytic - numeric).abs() / denom;
@@ -93,13 +65,11 @@ pub fn check_gradients(
             }
         }
     }
-    // Clear gradients so the check leaves the network clean, and drop any
-    // cached weight views: the probe loop wrote parameter values directly.
+    // Clear gradients so the check leaves the network clean.
     for layer in net.layers_mut().iter_mut() {
         for param in layer.params_mut() {
             param.zero_grad();
         }
-        layer.invalidate_cached_weights();
     }
     GradCheckReport {
         max_relative_error: max_err,

@@ -52,6 +52,37 @@ pub(crate) fn gemm_acc(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize
     if m == 0 || n == 0 || k == 0 {
         return;
     }
+    if n < NR {
+        // Narrower than one panel: the packed path would only zero-fill a
+        // panel it never uses.
+        axpy_columns(out, a, b, m, k, n, 0);
+        return;
+    }
+    gebp(out, a, m, k, n, |panel, ps, j| {
+        for (dst, p) in panel.chunks_exact_mut(NR).zip(ps) {
+            dst.copy_from_slice(&b[p * n + j..p * n + j + NR]);
+        }
+    });
+    let j = n - n % NR;
+    if j < n {
+        // Column remainder (n % NR): plain axpy sweep straight from B.
+        axpy_columns(out, a, b, m, k, n, j);
+    }
+}
+
+/// The packed GEBP sweep of `out[m,n] += a[m,k] · B[k,n]` over the columns
+/// that fill whole `NR`-wide panels (`0..n - n % NR`); the caller covers
+/// the rest. `pack(panel, ps, j)` writes `B[ps, j..j+NR]` into `panel`
+/// row-major, `NR` values per row, which lets the same micro-kernel read B
+/// either as stored or transposed.
+fn gebp(
+    out: &mut [f32],
+    a: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    pack: impl Fn(&mut [f32], std::ops::Range<usize>, usize),
+) {
     // Packed B panel for one (KC, NR) tile: 16 KiB on the stack.
     let mut panel = [0.0f32; KC * NR];
     for kb in (0..k).step_by(KC) {
@@ -61,9 +92,7 @@ pub(crate) fn gemm_acc(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize
         while j + NR <= n {
             // Pack B[kb..ke, j..j+NR] contiguously so the micro-kernel
             // streams it linearly from L1 for every row block.
-            for (pp, p) in (kb..ke).enumerate() {
-                panel[pp * NR..(pp + 1) * NR].copy_from_slice(&b[p * n + j..p * n + j + NR]);
-            }
+            pack(&mut panel[..kl * NR], kb..ke, j);
             let mut i = 0;
             while i + MR <= m {
                 // MR × NR accumulator tile, held in registers across the
@@ -108,51 +137,139 @@ pub(crate) fn gemm_acc(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize
             }
             j += NR;
         }
-        // Column remainder (n % NR): plain axpy sweep straight from B,
-        // still ascending p within the k-block.
-        if j < n {
-            for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k];
-                for p in kb..ke {
-                    let s = arow[p];
-                    let brow = &b[p * n + j..(p + 1) * n];
-                    let dst = &mut out[i * n + j..(i + 1) * n];
-                    for (d, &bv) in dst.iter_mut().zip(brow) {
-                        *d += s * bv;
-                    }
-                }
+    }
+}
+
+/// The unpacked GEMM sweep over output columns `j..n`:
+/// `out[i, j..] += a[i,p] · b[p, j..]` straight from B, ascending `p` per
+/// output element. Re-slicing the output row per `p` gives the inner loop
+/// two slices of the same length; the equivalent row-iterator form
+/// measured about 20% slower on a 4-column output (2-CPU x86-64 Xeon,
+/// `target-cpu=native`).
+fn axpy_columns(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize, j: usize) {
+    for i in 0..m {
+        let arow = &a[i * k..(i + 1) * k];
+        for (p, &s) in arow.iter().enumerate() {
+            let brow = &b[p * n + j..(p + 1) * n];
+            let dst = &mut out[i * n + j..(i + 1) * n];
+            for (d, &bv) in dst.iter_mut().zip(brow) {
+                *d += s * bv;
             }
         }
     }
 }
 
-/// [`gemm_acc`] with the output rows fanned out across au-par workers when
-/// the product is large enough to amortize thread spawn.
+/// Runs `kernel(out_rows, first_row, rows)` over all `m` output rows,
+/// fanned out across au-par workers when the `m·k·n` product is large
+/// enough to amortize thread spawn.
 ///
-/// Row partitioning never touches per-element accumulation order, so the
-/// result is bit-identical for every thread count (including 1).
-pub(crate) fn gemm_acc_par(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+/// Row partitioning never touches per-element accumulation order, so a
+/// row kernel gives bit-identical results for every thread count
+/// (including 1).
+fn fan_out_rows(
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    kernel: impl Fn(&mut [f32], usize, usize) + Sync,
+) {
     let _t = t_time!("au_nn.gemm");
     if m >= 2 && m * k * n >= PAR_MIN_WORK && !au_par::in_worker() && au_par::max_threads() > 1 {
         t_count!("au_nn.gemm_parallel");
         let min_rows = (PAR_MIN_WORK / (k * n).max(1)).max(1);
         au_par::par_row_chunks_mut(out, n, min_rows, |first, chunk| {
             let rows = chunk.len() / n;
-            gemm_acc(chunk, &a[first * k..(first + rows) * k], b, rows, k, n);
+            kernel(chunk, first, rows);
         });
     } else {
-        gemm_acc(out, a, b, m, k, n);
+        kernel(out, 0, m);
     }
 }
 
-/// `out[k,n] += aᵀ · g` for `a [m,k]`, `g [m,n]` — the weight-gradient
-/// product `dW = xᵀ·dy` without materializing the transpose.
+/// [`gemm_acc`] with the output rows fanned out across au-par workers for
+/// large products (see [`fan_out_rows`]).
+pub(crate) fn gemm_acc_par(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    fan_out_rows(out, m, k, n, |chunk, first, rows| {
+        gemm_acc(chunk, &a[first * k..(first + rows) * k], b, rows, k, n);
+    });
+}
+
+/// `out[m,n] += a[m,k] · bᵀ` for `b [n,k]` — the input gradient
+/// `dx = dy·Wᵀ` read straight from the weight layout, with no transposed
+/// copy of W.
 ///
-/// Per output element the sum runs over ascending sample index `i`, the
-/// same order as transposing `a` and calling the old kernel. The `s == 0.0`
-/// skip is kept: activation inputs are often sparse after ReLU, and
-/// skipping a whole axpy row is the one place the sparsity test pays.
+/// Each output element is summed in ascending inner index from the
+/// pre-filled value, one add per product and no zero skipping: the same
+/// sequence as materializing `bᵀ` and calling [`gemm_acc`]. Whole
+/// `NR`-wide column panels run the packed micro-kernel, packing `bᵀ` panel
+/// by panel from `b`'s rows; the remaining columns dot each row of `a`
+/// against the rows of `b`.
+pub(crate) fn gemm_nt_acc(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    debug_assert_eq!(out.len(), m * n, "out extent");
+    debug_assert!(a.len() >= m * k, "a extent");
+    debug_assert!(b.len() >= n * k, "b extent");
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    // Whole `NR`-wide column panels run the packed micro-kernel; the
+    // remaining columns are dot products.
+    let mut j = 0;
+    if n >= NR {
+        gebp(out, a, m, k, n, |panel, ps, j| {
+            // Element (p, c) of the [k, n] operand bᵀ is b[c·k + p].
+            for (c, brow) in b[j * k..(j + NR) * k].chunks_exact(k).enumerate() {
+                for (pp, &v) in brow[ps.clone()].iter().enumerate() {
+                    panel[pp * NR + c] = v;
+                }
+            }
+        });
+        j = n - n % NR;
+    }
+    for (orow, arow) in out.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
+        for (o, brow) in orow[j..].iter_mut().zip(b[j * k..].chunks_exact(k)) {
+            *o = dot_acc(*o, arow, brow);
+        }
+    }
+}
+
+/// `init + Σ x[p]·y[p]`, ascending `p`, one add per product.
+fn dot_acc(init: f32, x: &[f32], y: &[f32]) -> f32 {
+    x.iter().zip(y).fold(init, |acc, (&s, &w)| acc + s * w)
+}
+
+/// [`gemm_nt_acc`] with the output rows fanned out across au-par workers
+/// for large products (see [`fan_out_rows`]).
+pub(crate) fn gemm_nt_acc_par(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    fan_out_rows(out, m, k, n, |chunk, first, rows| {
+        gemm_nt_acc(chunk, &a[first * k..(first + rows) * k], b, rows, k, n);
+    });
+}
+
+/// `out[k,n] += aᵀ · g` for `a [m,k]`, `g [m,n]` without materializing
+/// the transpose — the input gradient `dcol = Wᵀ·dy` of a convolution.
+///
+/// Per output element the sum runs over ascending `i` from the pre-filled
+/// value, one add per product and no zero skipping: the same sequence as
+/// transposing `a` and calling [`gemm_acc`].
 pub(crate) fn gemm_tn_acc(out: &mut [f32], a: &[f32], g: &[f32], m: usize, k: usize, n: usize) {
+    tn_acc(out, a, g, m, k, n, false);
+}
+
+/// [`gemm_tn_acc`] skipping the rows of `a`'s zero entries — the weight
+/// gradient `dW = xᵀ·dy`. Activation inputs are often sparse after ReLU,
+/// and skipping a whole axpy row is the one place the sparsity test pays.
+pub(crate) fn gemm_tn_acc_sparse(
+    out: &mut [f32],
+    a: &[f32],
+    g: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    tn_acc(out, a, g, m, k, n, true);
+}
+
+fn tn_acc(out: &mut [f32], a: &[f32], g: &[f32], m: usize, k: usize, n: usize, skip_zero: bool) {
     debug_assert_eq!(out.len(), k * n, "out extent");
     debug_assert!(a.len() >= m * k, "a extent");
     debug_assert!(g.len() >= m * n, "g extent");
@@ -160,7 +277,7 @@ pub(crate) fn gemm_tn_acc(out: &mut [f32], a: &[f32], g: &[f32], m: usize, k: us
         let arow = &a[i * k..(i + 1) * k];
         let grow = &g[i * n..(i + 1) * n];
         for (p, &s) in arow.iter().enumerate() {
-            if s == 0.0 {
+            if skip_zero && s == 0.0 {
                 continue;
             }
             let dst = &mut out[p * n..(p + 1) * n];
@@ -171,16 +288,14 @@ pub(crate) fn gemm_tn_acc(out: &mut [f32], a: &[f32], g: &[f32], m: usize, k: us
     }
 }
 
-/// Reference kernel: the scalar triple loop the blocked kernels replaced.
-/// Kept only as a test oracle.
+/// Reference kernel: the scalar triple loop the blocked kernels replaced,
+/// one add per product in ascending inner index. Kept only as a test
+/// oracle.
 #[cfg(test)]
 pub(crate) fn gemm_naive(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     for i in 0..m {
         for p in 0..k {
             let s = a[i * k + p];
-            if s == 0.0 {
-                continue;
-            }
             let brow = &b[p * n..(p + 1) * n];
             let dst = &mut out[i * n..(i + 1) * n];
             for (d, &bv) in dst.iter_mut().zip(brow) {
@@ -204,45 +319,63 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn blocked_matches_naive_on_tile_straddling_shapes() {
-        // Shapes straddling MR/KC/NC boundaries, plus degenerate ones.
-        let shapes = [
-            (1, 1, 1),
-            (1, 300, 5),
-            (3, 7, 2),
-            (4, 128, 256),
-            (5, 129, 257),
-            (8, 200, 300),
-            (17, 131, 63),
-        ];
-        for (m, k, n) in shapes {
-            let a = pseudo(m * k, 1);
-            let b = pseudo(k * n, 2);
-            let mut got = vec![0.0f32; m * n];
-            let mut want = vec![0.0f32; m * n];
-            gemm_acc(&mut got, &a, &b, m, k, n);
-            gemm_naive(&mut want, &a, &b, m, k, n);
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g - w).abs() < 1e-6 * w.abs().max(1.0), "({m},{k},{n})");
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn transpose(a: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        let mut t = vec![0.0f32; rows * cols];
+        for i in 0..rows {
+            for j in 0..cols {
+                t[j * rows + i] = a[i * cols + j];
             }
         }
+        t
+    }
+
+    /// Checks every kernel on one `(m, k, n)` shape against the naive
+    /// oracle, bit for bit: `gemm_acc` directly, `gemm_nt_acc` and
+    /// `gemm_tn_acc` against an explicit transpose.
+    fn assert_kernels_bit_identical(m: usize, k: usize, n: usize, seed: u64) {
+        let a = pseudo(m * k, seed);
+        let b = pseudo(k * n, seed.wrapping_add(1));
+        let mut want = vec![0.0f32; m * n];
+        gemm_naive(&mut want, &a, &b, m, k, n);
+        let mut got = vec![0.0f32; m * n];
+        gemm_acc(&mut got, &a, &b, m, k, n);
+        assert_eq!(bits(&got), bits(&want), "gemm_acc ({m},{k},{n})");
+        // a · (bᵀ)ᵀ with bᵀ stored row-major as [n, k].
+        let bt = transpose(&b, k, n);
+        let mut got = vec![0.0f32; m * n];
+        gemm_nt_acc(&mut got, &a, &bt, m, k, n);
+        assert_eq!(bits(&got), bits(&want), "gemm_nt_acc ({m},{k},{n})");
+        // (aᵀ)ᵀ · b with aᵀ stored row-major as [k, m].
+        let at = transpose(&a, m, k);
+        let mut got = vec![0.0f32; m * n];
+        gemm_tn_acc(&mut got, &at, &b, k, m, n);
+        assert_eq!(bits(&got), bits(&want), "gemm_tn_acc ({m},{k},{n})");
     }
 
     #[test]
-    fn blocked_is_bit_identical_to_naive() {
-        // The accumulation-order contract is stronger than a tolerance:
-        // identical bits, not just close values.
-        let (m, k, n) = (9, 37, 21);
-        let a = pseudo(m * k, 7);
-        let b = pseudo(k * n, 8);
-        let mut got = vec![0.0f32; m * n];
-        let mut want = vec![0.0f32; m * n];
-        gemm_acc(&mut got, &a, &b, m, k, n);
-        gemm_naive(&mut want, &a, &b, m, k, n);
-        let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-        let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got_bits, want_bits);
+    fn blocked_matches_naive_on_tile_straddling_shapes() {
+        // Shapes straddling MR/KC/NR boundaries (n < NR, n = NR, n > NR,
+        // k > KC, m = 1), plus degenerate ones.
+        let shapes = [
+            (1, 1, 1),
+            (1, 300, 5),
+            (1, 7, NR),
+            (3, 7, 2),
+            (4, KC, NR),
+            (4, 128, 256),
+            (5, 129, 257),
+            (6, KC + 3, NR - 1),
+            (8, 200, 300),
+            (9, 37, 21),
+            (17, 131, 63),
+        ];
+        for (m, k, n) in shapes {
+            assert_kernels_bit_identical(m, k, n, 1);
+        }
     }
 
     #[test]
@@ -254,23 +387,42 @@ mod tests {
         assert_eq!(out[0], 10.0 + 1.0 * 3.0 + 2.0 * 4.0);
     }
 
+    /// The input-gradient kernels never skip a zero product: an infinite
+    /// output gradient against a zero weight must poison the sum with NaN,
+    /// exactly as the transpose-then-multiply path did (a skip would leave
+    /// the finite 2.0). NaN payload bits are not compared: constant folding
+    /// and the FPU disagree on the sign of `0·∞`.
     #[test]
-    fn transposed_accumulate_matches_explicit_transpose() {
+    fn input_gradient_kernels_do_not_skip_zero_weights() {
+        let dy = [f32::INFINITY, 1.0];
+        let w = [0.0f32, 2.0];
+        // Dense: dx [1,1] = dy [1,2] · Wᵀ for W [1,2].
+        let mut dx = [0.0f32];
+        gemm_nt_acc(&mut dx, &dy, &w, 1, 2, 1);
+        let mut want = [0.0f32];
+        gemm_naive(&mut want, &dy, &transpose(&w, 1, 2), 1, 2, 1);
+        assert!(dx[0].is_nan() && want[0].is_nan(), "dense dx {dx:?}");
+        // Conv: dcol [1,1] = Wᵀ · dy for W [2,1], dy [2,1].
+        let mut dcol = [0.0f32];
+        gemm_tn_acc(&mut dcol, &w, &dy, 2, 1, 1);
+        let mut want = [0.0f32];
+        gemm_naive(&mut want, &transpose(&w, 2, 1), &dy, 1, 2, 1);
+        assert!(dcol[0].is_nan() && want[0].is_nan(), "conv dcol {dcol:?}");
+    }
+
+    #[test]
+    fn sparse_transposed_accumulate_skips_only_zero_rows() {
         let (m, k, n) = (6, 5, 4);
-        let a = pseudo(m * k, 3);
-        let g = pseudo(m * n, 4);
-        let mut got = vec![0.0f32; k * n];
-        gemm_tn_acc(&mut got, &a, &g, m, k, n);
-        // Oracle: transpose a explicitly, then naive GEMM.
-        let mut at = vec![0.0f32; k * m];
-        for i in 0..m {
-            for p in 0..k {
-                at[p * m + i] = a[i * k + p];
-            }
+        let mut a = pseudo(m * k, 3);
+        for v in a.iter_mut().step_by(3) {
+            *v = 0.0;
         }
-        let mut want = vec![0.0f32; k * n];
-        gemm_naive(&mut want, &at, &g, k, m, n);
-        assert_eq!(got, want);
+        let g = pseudo(m * n, 4);
+        let mut dense = vec![0.0f32; k * n];
+        gemm_tn_acc(&mut dense, &a, &g, m, k, n);
+        let mut sparse = vec![0.0f32; k * n];
+        gemm_tn_acc_sparse(&mut sparse, &a, &g, m, k, n);
+        assert_eq!(bits(&sparse), bits(&dense));
     }
 
     #[test]
@@ -281,30 +433,28 @@ mod tests {
         let b = pseudo(k * n, 6);
         let mut serial = vec![0.0f32; m * n];
         gemm_acc(&mut serial, &a, &b, m, k, n);
+        let mut serial_nt = vec![0.0f32; m * n];
+        gemm_nt_acc(&mut serial_nt, &a, &b, m, k, n);
         for threads in [1usize, 2, 4] {
             au_par::set_thread_override(Some(threads));
             let mut par = vec![0.0f32; m * n];
             gemm_acc_par(&mut par, &a, &b, m, k, n);
-            assert_eq!(par, serial, "threads={threads}");
+            assert_eq!(bits(&par), bits(&serial), "threads={threads}");
+            let mut par = vec![0.0f32; m * n];
+            gemm_nt_acc_par(&mut par, &a, &b, m, k, n);
+            assert_eq!(bits(&par), bits(&serial_nt), "nt threads={threads}");
         }
         au_par::set_thread_override(None);
     }
 
     proptest! {
-        /// Blocked GEMM matches the naive oracle on random shapes,
-        /// including non-multiples of every tile dimension and m = 1.
+        /// Every kernel matches the naive oracle bit for bit on random
+        /// shapes: non-multiples of every tile dimension, n on both sides
+        /// of NR, k past KC, and m = 1.
         #[test]
-        fn blocked_matches_naive_randomized(m in 1usize..10, k in 1usize..40,
-                                            n in 1usize..30, seed in 0u64..500) {
-            let a = pseudo(m * k, seed);
-            let b = pseudo(k * n, seed.wrapping_add(1));
-            let mut got = vec![0.0f32; m * n];
-            let mut want = vec![0.0f32; m * n];
-            gemm_acc(&mut got, &a, &b, m, k, n);
-            gemm_naive(&mut want, &a, &b, m, k, n);
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert!((g - w).abs() < 1e-6 * w.abs().max(1.0));
-            }
+        fn blocked_matches_naive_randomized(m in 1usize..10, k in 1usize..140,
+                                            n in 1usize..40, seed in 0u64..500) {
+            assert_kernels_bit_identical(m, k, n, seed);
         }
     }
 }

@@ -51,22 +51,29 @@ impl Param {
 
 /// A differentiable network layer.
 ///
-/// Layers are stateful: `forward` caches whatever `backward` needs. A network
-/// always calls `backward` immediately after the matching `forward` on the
-/// same layer, with no interleaving. The `Sync` bound lets a fully trained
+/// Layers are stateful: `forward` caches whatever `backward` needs, and both
+/// passes write into buffers the layer owns, so a training step on
+/// same-shaped batches allocates nothing after the first. A network always
+/// calls `backward` immediately after the matching `forward` on the same
+/// layer, with no interleaving. The `Sync` bound lets a fully trained
 /// network serve concurrent inference through [`Layer::infer`], which never
-/// touches the training caches.
+/// touches the training buffers.
 pub trait Layer: std::fmt::Debug + Send + Sync {
-    /// Computes the layer output for `input` (first dimension = batch).
+    /// Computes the layer output for `input` (first dimension = batch) into
+    /// the layer's own output buffer and returns it.
     ///
     /// `train` distinguishes the paper's TR mode from TS mode for layers that
     /// behave differently during training.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    fn forward(&mut self, input: &Tensor, train: bool) -> &Tensor;
 
     /// Pure deployment-mode forward pass: the same math as
     /// `forward(input, false)` but through `&self`, so a shared model can
     /// serve many threads at once. Must not touch any backward-pass cache.
-    fn infer(&self, input: &Tensor) -> Tensor;
+    fn infer(&self, input: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        self.infer_into(input, &mut out);
+        out
+    }
 
     /// [`Layer::infer`] writing into a caller-owned scratch tensor instead
     /// of allocating the output — the building block of the allocation-free
@@ -74,23 +81,22 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     ///
     /// `out` is reshaped (any prior shape/contents are discarded; its
     /// allocation is reused). Implementations must produce **bit-identical
-    /// values** to [`Layer::infer`]: same operations, same per-element
-    /// accumulation order, only the destination buffer differs.
-    fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
-        *out = self.infer(input);
-    }
+    /// values** to `forward(input, false)`: same operations, same
+    /// per-element accumulation order, only the destination buffer differs.
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor);
 
-    /// Propagates `grad_out` (∂loss/∂output) to ∂loss/∂input, accumulating
-    /// parameter gradients along the way.
+    /// Propagates `grad_out` (∂loss/∂output) to ∂loss/∂input, written into
+    /// the layer's own buffer and returned, accumulating parameter
+    /// gradients along the way.
     ///
     /// # Panics
     ///
-    /// Implementations may panic if called before `forward`.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    /// Implementations may panic if called before a training `forward`.
+    fn backward(&mut self, grad_out: &Tensor) -> &Tensor;
 
     /// The layer's learnable parameters, if any.
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
+    fn params_mut(&mut self) -> &mut [Param] {
+        &mut []
     }
 
     /// Output feature count given the input feature count, used by
@@ -102,15 +108,6 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
 
     /// A serializable description of this layer (architecture + weights).
     fn spec(&self) -> LayerSpec;
-
-    /// Drops any derived view of the layer's weights (e.g. the cached
-    /// transpose [`crate::Dense`] keeps for its backward pass).
-    ///
-    /// Must be called after every mutation of parameter *values* that does
-    /// not go through the layer itself: optimizer steps, weight copies,
-    /// checkpoint restores, and direct [`Layer::params_mut`] writes. The
-    /// default is a no-op for layers with no derived state.
-    fn invalidate_cached_weights(&mut self) {}
 }
 
 /// Serializable layer description used for model persistence.

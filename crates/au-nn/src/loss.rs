@@ -75,43 +75,46 @@ impl Loss {
     ///
     /// Panics if shapes differ.
     pub fn gradient(self, output: &Tensor, target: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        self.gradient_into(output, target, &mut out);
+        out
+    }
+
+    /// [`Loss::gradient`] written into `out`, reusing its allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes differ.
+    pub fn gradient_into(self, output: &Tensor, target: &Tensor, out: &mut Tensor) {
         assert_eq!(output.shape(), target.shape(), "loss shape mismatch");
         let n = output.batch().max(1) as f32;
+        let k = output.row_len().max(1) as f32;
+        out.resize_zeroed(output.shape());
+        let pairs = output.data().iter().zip(target.data());
         match self {
             Loss::Mse => {
-                let k = output.row_len().max(1) as f32;
-                let data = output
-                    .data()
-                    .iter()
-                    .zip(target.data())
-                    .map(|(o, t)| 2.0 * (o - t) / (n * k))
-                    .collect();
-                Tensor::from_vec(output.shape(), data)
+                for (g, (o, t)) in out.data_mut().iter_mut().zip(pairs) {
+                    *g = 2.0 * (o - t) / (n * k);
+                }
             }
             Loss::Huber => {
-                let k = output.row_len().max(1) as f32;
-                let data = output
-                    .data()
-                    .iter()
-                    .zip(target.data())
-                    .map(|(o, t)| {
-                        let d = o - t;
-                        d.clamp(-1.0, 1.0) / (n * k)
-                    })
-                    .collect();
-                Tensor::from_vec(output.shape(), data)
+                for (g, (o, t)) in out.data_mut().iter_mut().zip(pairs) {
+                    *g = (o - t).clamp(-1.0, 1.0) / (n * k);
+                }
             }
             Loss::SoftmaxCrossEntropy => {
-                let mut out = Tensor::zeros(output.shape());
                 let row_len = output.row_len();
-                for b in 0..output.batch() {
-                    let probs = softmax(output.row_slice(b));
-                    let trow = target.row_slice(b);
-                    for j in 0..row_len {
-                        out.data_mut()[b * row_len + j] = (probs[j] - trow[j]) / n;
+                for ((grow, orow), trow) in out
+                    .data_mut()
+                    .chunks_exact_mut(row_len.max(1))
+                    .zip(output.data().chunks_exact(row_len.max(1)))
+                    .zip(target.data().chunks_exact(row_len.max(1)))
+                {
+                    softmax_into(orow, grow);
+                    for (g, &t) in grow.iter_mut().zip(trow) {
+                        *g = (*g - t) / n;
                     }
                 }
-                out
             }
         }
     }
@@ -119,10 +122,21 @@ impl Loss {
 
 /// Numerically stable softmax over a slice.
 pub(crate) fn softmax(xs: &[f32]) -> Vec<f32> {
+    let mut out = vec![0.0; xs.len()];
+    softmax_into(xs, &mut out);
+    out
+}
+
+/// [`softmax`] written into `out` (same length as `xs`).
+fn softmax_into(xs: &[f32], out: &mut [f32]) {
     let max = xs.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = xs.iter().map(|x| (x - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    exps.iter().map(|e| e / sum.max(1e-12)).collect()
+    for (e, x) in out.iter_mut().zip(xs) {
+        *e = (x - max).exp();
+    }
+    let sum: f32 = out.iter().sum();
+    for e in out.iter_mut() {
+        *e /= sum.max(1e-12);
+    }
 }
 
 #[cfg(test)]

@@ -61,6 +61,8 @@ struct ModelFile {
 pub struct Network {
     in_features: usize,
     layers: Vec<Box<dyn Layer>>,
+    /// ∂loss/∂output buffer reused by [`Network::train_batch`].
+    loss_grad: Tensor,
 }
 
 impl Network {
@@ -101,10 +103,11 @@ impl Network {
             .sum()
     }
 
-    /// Runs inference (TS mode) on a `[batch, in]` tensor.
+    /// Runs inference (TS mode) on a `[batch, in]` tensor. Public API kept
+    /// as an alias of [`Network::infer`]; training uses the layers' own
+    /// forward pass, not this one.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let _t = t_time!("au_nn.forward");
-        self.forward_mode(input, false)
+        self.infer(input)
     }
 
     /// Runs inference through `&self`: identical math to
@@ -143,16 +146,37 @@ impl Network {
         src
     }
 
-    fn forward_mode(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
+    /// Training-mode (TR) forward pass: every layer writes into its own
+    /// buffers and caches what its backward pass needs. Returns a borrow of
+    /// the last layer's output.
+    pub(crate) fn forward_train<'a>(&'a mut self, input: &'a Tensor) -> &'a Tensor {
+        forward_layers(&mut self.layers, input)
+    }
+
+    /// Backpropagates `grad_out` (∂loss/∂output of the last
+    /// [`Network::forward_train`]), accumulating every parameter gradient.
+    pub(crate) fn backward(&mut self, grad_out: &Tensor) {
+        backward_layers(&mut self.layers, grad_out);
+    }
+
+    /// Takes one optimizer step on the accumulated gradients and clears
+    /// them.
+    pub(crate) fn step(&mut self, opt: &mut dyn Optimizer) {
         for layer in &mut self.layers {
-            x = layer.forward(&x, train);
+            for param in layer.params_mut() {
+                opt.step(param);
+                param.zero_grad();
+            }
         }
-        x
+        opt.end_batch();
+        t_count!("au_nn.batches_trained");
     }
 
     /// Runs one training step on a batch, returning the loss before the
     /// update. This is the semantics' `gradient(Parm, v)` statement.
+    ///
+    /// After the first call, repeated steps on same-shaped batches perform
+    /// no heap allocation.
     pub fn train_batch(
         &mut self,
         input: &Tensor,
@@ -161,21 +185,11 @@ impl Network {
         opt: &mut dyn Optimizer,
     ) -> f32 {
         let _t = t_time!("au_nn.train_batch");
-        let output = self.forward_mode(input, true);
-        let loss_value = loss.value(&output, target);
-        let mut grad = loss.gradient(&output, target);
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
-        }
-        for layer in &mut self.layers {
-            for param in layer.params_mut() {
-                opt.step(param);
-                param.zero_grad();
-            }
-            layer.invalidate_cached_weights();
-        }
-        opt.end_batch();
-        t_count!("au_nn.batches_trained");
+        let output = forward_layers(&mut self.layers, input);
+        let loss_value = loss.value(output, target);
+        loss.gradient_into(output, target, &mut self.loss_grad);
+        backward_layers(&mut self.layers, &self.loss_grad);
+        self.step(opt);
         t_gauge!("au_nn.last_batch_loss", f64::from(loss_value));
         loss_value
     }
@@ -249,23 +263,19 @@ impl Network {
         // then take one optimizer step — identical step sequence to
         // `train_batch`.
         for (li, layer) in self.layers.iter_mut().enumerate() {
-            let mut replica_params: Vec<Vec<&mut Param>> = replicas
+            let replica_params: Vec<&[Param]> = replicas
                 .iter_mut()
-                .map(|r| r.layers[li].params_mut())
+                .map(|r| &*r.layers[li].params_mut())
                 .collect();
-            for (pi, param) in layer.params_mut().into_iter().enumerate() {
-                for rep in replica_params.iter_mut() {
+            for (pi, param) in layer.params_mut().iter_mut().enumerate() {
+                for rep in &replica_params {
                     for (g, d) in param.grad.data_mut().iter_mut().zip(rep[pi].grad.data()) {
                         *g += d;
                     }
                 }
-                opt.step(param);
-                param.zero_grad();
             }
-            layer.invalidate_cached_weights();
         }
-        opt.end_batch();
-        t_count!("au_nn.batches_trained");
+        self.step(opt);
         let loss_value: f32 = chunk_losses
             .iter()
             .zip(&ranges)
@@ -282,13 +292,20 @@ impl Network {
     /// copy-on-write model snapshots (training while an `Arc`'d network is
     /// still serving).
     pub fn deep_clone(&self) -> Network {
-        Network {
-            in_features: self.in_features,
-            layers: self
-                .layers
+        Network::from_layers(
+            self.in_features,
+            self.layers
                 .iter()
                 .map(|l| build_layer(l.spec()).expect("replica of a live layer"))
                 .collect(),
+        )
+    }
+
+    fn from_layers(in_features: usize, layers: Vec<Box<dyn Layer>>) -> Network {
+        Network {
+            in_features,
+            layers,
+            loss_grad: Tensor::default(),
         }
     }
 
@@ -302,33 +319,9 @@ impl Network {
         opt: &mut dyn Optimizer,
     ) {
         let _t = t_time!("au_nn.train_batch");
-        t_count!("au_nn.batches_trained");
-        let _ = self.forward_mode(input, true);
-        let mut grad = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
-        }
-        for layer in &mut self.layers {
-            for param in layer.params_mut() {
-                opt.step(param);
-                param.zero_grad();
-            }
-            layer.invalidate_cached_weights();
-        }
-        opt.end_batch();
-    }
-
-    /// Drops every layer's derived weight views (cached transposes).
-    ///
-    /// Training steps and [`Network::copy_weights_from`] do this
-    /// automatically; callers that mutate parameter values directly —
-    /// checkpoint restores, custom weight surgery through layer params —
-    /// must call it afterwards or stale views will poison later backward
-    /// passes.
-    pub fn invalidate_cached_weights(&mut self) {
-        for layer in &mut self.layers {
-            layer.invalidate_cached_weights();
-        }
+        self.forward_train(input);
+        self.backward(grad_out);
+        self.step(opt);
     }
 
     /// Serializes the model (architecture + weights) to a JSON string.
@@ -353,10 +346,7 @@ impl Network {
         for spec in file.layers {
             layers.push(build_layer(spec)?);
         }
-        Ok(Network {
-            in_features: file.in_features,
-            layers,
-        })
+        Ok(Network::from_layers(file.in_features, layers))
     }
 
     /// Saves the model to a file — Fig. 8's persistent model state for
@@ -391,16 +381,14 @@ impl Network {
     pub fn copy_weights_from(&mut self, other: &mut Network) {
         assert_eq!(self.depth(), other.depth(), "architecture mismatch");
         for (a, b) in self.layers.iter_mut().zip(other.layers.iter_mut()) {
-            let mut bp = b.params_mut();
-            for (pa, pb) in a.params_mut().into_iter().zip(bp.iter_mut()) {
+            for (pa, pb) in a.params_mut().iter_mut().zip(b.params_mut().iter()) {
                 assert_eq!(
                     pa.value.shape(),
                     pb.value.shape(),
                     "parameter shape mismatch"
                 );
-                pa.value = pb.value.clone();
+                pa.value.copy_from(&pb.value);
             }
-            a.invalidate_cached_weights();
         }
     }
 
@@ -415,13 +403,29 @@ impl Network {
 /// is rescaled by `scale` (`chunk_rows / batch_rows`) so the merged
 /// chunk-gradient sum equals the full-batch gradient.
 fn run_minibatch_chunk(net: &mut Network, x: &Tensor, y: &Tensor, loss: Loss, scale: f32) -> f32 {
-    let output = net.forward_mode(x, true);
-    let value = loss.value(&output, y);
-    let mut grad = loss.gradient(&output, y).scale(scale);
-    for layer in net.layers.iter_mut().rev() {
-        grad = layer.backward(&grad);
-    }
+    let output = net.forward_train(x);
+    let value = loss.value(output, y);
+    let grad = loss.gradient(output, y).scale(scale);
+    net.backward(&grad);
     value
+}
+
+/// Training forward through `layers`, each writing into its own buffers.
+fn forward_layers<'a>(layers: &'a mut [Box<dyn Layer>], input: &'a Tensor) -> &'a Tensor {
+    let mut x = input;
+    for layer in layers {
+        x = layer.forward(x, true);
+    }
+    x
+}
+
+/// Backward through `layers` in reverse, each writing its input gradient
+/// into its own buffer for the layer below.
+fn backward_layers<'a>(layers: &'a mut [Box<dyn Layer>], grad_out: &'a Tensor) {
+    let mut grad = grad_out;
+    for layer in layers.iter_mut().rev() {
+        grad = layer.backward(grad);
+    }
 }
 
 /// Reusable ping-pong buffers for [`Network::infer_reusing`]: one
@@ -555,10 +559,7 @@ impl NetworkBuilder {
 
     /// Finalizes the network.
     pub fn build(self) -> Network {
-        Network {
-            in_features: self.in_features,
-            layers: self.layers,
-        }
+        Network::from_layers(self.in_features, self.layers)
     }
 }
 
@@ -612,21 +613,36 @@ mod tests {
     #[test]
     fn infer_matches_forward_everywhere() {
         // Every layer kind: conv → pool → flatten → dense → act → dropout.
+        // Each layer's own forward pass (TS mode) must equal its inference
+        // path bit for bit.
         crate::init::set_init_seed(41);
-        let mut net = Network::builder(8 * 8)
-            .conv2d(1, 8, 8, 2, 3, 1)
-            .activation(Activation::Relu)
-            .max_pool2d(2, 6, 6, 2)
-            .flatten()
-            .dense(8)
-            .activation(Activation::Tanh)
-            .dropout(0.2)
-            .dense(3)
-            .build();
-        let x = Tensor::from_rows(&[&[0.3; 64], &[0.7; 64]]);
-        let by_ref = net.infer(&x);
-        let by_mut = net.forward(&x);
-        assert_eq!(by_ref, by_mut, "infer must be bit-identical to forward");
+        let build = |dropout: bool| {
+            let b = Network::builder(8 * 8)
+                .conv2d(1, 8, 8, 2, 3, 1)
+                .activation(Activation::Relu)
+                .max_pool2d(2, 6, 6, 2)
+                .flatten()
+                .dense(8)
+                .activation(Activation::Tanh);
+            let b = if dropout { b.dropout(0.2) } else { b };
+            b.dense(3).build()
+        };
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let x = Tensor::from_rows(&[&[0.3; 64], &[-0.7; 64]]);
+        let mut net = build(true);
+        let mut h = x.clone();
+        for layer in net.layers_mut() {
+            let inferred = layer.infer(&h);
+            let forward = bits(layer.forward(&h, false));
+            assert_eq!(forward, bits(&inferred), "{layer:?}");
+            h = inferred;
+        }
+        // Without dropout the TR-mode forward that training backprops from
+        // must equal inference too (DQN takes Q from it and the target Q
+        // from inference).
+        let mut net = build(false);
+        let inferred = net.infer(&x);
+        assert_eq!(bits(net.forward_train(&x)), bits(&inferred));
     }
 
     /// The allocation-free serving path must be bit-identical to `infer`

@@ -7,7 +7,7 @@
 //! the paper's baselines — ε-greedy exploration, an experience replay buffer,
 //! and a periodically synchronized target network.
 
-use crate::network::Network;
+use crate::network::{InferScratch, Network};
 use crate::optim::Adam;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
@@ -74,10 +74,15 @@ impl ReplayBuffer {
     ///
     /// Panics if the buffer is empty.
     pub fn sample<'a>(&'a self, n: usize, rng: &mut StdRng) -> Vec<&'a Transition> {
-        assert!(!self.items.is_empty(), "cannot sample from an empty buffer");
         (0..n)
-            .map(|_| &self.items[rng.gen_range(0..self.items.len())])
+            .map(|_| &self.items[self.sample_index(rng)])
             .collect()
+    }
+
+    /// One uniform draw: the index of a stored transition.
+    fn sample_index(&self, rng: &mut StdRng) -> usize {
+        assert!(!self.items.is_empty(), "cannot sample from an empty buffer");
+        rng.gen_range(0..self.items.len())
     }
 }
 
@@ -132,6 +137,11 @@ impl Default for DqnConfig {
 }
 
 /// A deep-Q-network agent over flat feature vectors.
+///
+/// After warm-up, an [`DqnAgent::observe`] + [`DqnAgent::select_action`]
+/// step performs no heap allocation: the sampled minibatch, the TD
+/// gradient and every forward/backward buffer are owned by the agent and
+/// its networks and reused.
 #[derive(Debug)]
 pub struct DqnAgent {
     online: Network,
@@ -145,6 +155,21 @@ pub struct DqnAgent {
     state_dim: usize,
     n_actions: usize,
     rng: StdRng,
+    scratch: LearnScratch,
+}
+
+/// Buffers one learning step (and greedy action selection) reuses.
+#[derive(Debug, Default)]
+struct LearnScratch {
+    /// Replay indices of the sampled minibatch, in sampling order.
+    sampled: Vec<usize>,
+    states: Tensor,
+    next_states: Tensor,
+    /// ∂loss/∂Q: nonzero only at each row's taken action.
+    grad: Tensor,
+    /// A single state as a `[1, state_dim]` batch.
+    row: Tensor,
+    infer: InferScratch,
 }
 
 impl DqnAgent {
@@ -181,6 +206,7 @@ impl DqnAgent {
             n_actions,
             config,
             rng,
+            scratch: LearnScratch::default(),
         }
     }
 
@@ -216,6 +242,7 @@ impl DqnAgent {
             n_actions,
             config,
             rng,
+            scratch: LearnScratch::default(),
         }
     }
 
@@ -239,21 +266,15 @@ impl DqnAgent {
         &mut self.online
     }
 
-    /// Drops cached weight views on the online and target networks — see
-    /// [`Network::invalidate_cached_weights`]. Required after any direct
-    /// parameter mutation (e.g. [`DqnAgent::network_mut`] weight surgery,
-    /// checkpoint restores in a host runtime).
-    pub fn invalidate_cached_weights(&mut self) {
-        self.online.invalidate_cached_weights();
-        if let Some(t) = self.target.as_mut() {
-            t.invalidate_cached_weights();
-        }
-    }
-
     /// Read access to the online Q-network — enough for persistence
     /// (`to_json`) and concurrent inference ([`Network::infer`]).
     pub fn network(&self) -> &Network {
         &self.online
+    }
+
+    /// The target Q-network, if one is configured (`target_sync_every > 0`).
+    pub fn target_network(&self) -> Option<&Network> {
+        self.target.as_ref()
     }
 
     /// Q-values for a single state.
@@ -269,8 +290,12 @@ impl DqnAgent {
     }
 
     /// Greedy (exploitation-only) action — used in TS/deployment mode.
+    /// Same action as [`DqnAgent::greedy_action_ref`], through the agent's
+    /// own inference buffers.
     pub fn greedy_action(&mut self, state: &[f32]) -> usize {
-        self.greedy_action_ref(state)
+        let LearnScratch { row, infer, .. } = &mut self.scratch;
+        row.set_row(state);
+        self.online.infer_reusing(row, infer).argmax_row(0)
     }
 
     /// Greedy action through `&self` — the concurrent deployment-mode path.
@@ -315,41 +340,55 @@ impl DqnAgent {
 
     fn learn(&mut self) -> f32 {
         let batch_size = self.config.batch_size;
-        let sampled: Vec<Transition> = self
-            .buffer
-            .sample(batch_size, &mut self.rng)
-            .into_iter()
-            .cloned()
-            .collect();
+        let dim = self.state_dim;
+        let LearnScratch {
+            sampled,
+            states,
+            next_states,
+            grad,
+            infer,
+            ..
+        } = &mut self.scratch;
 
-        // Build state and next-state batches.
-        let mut states = Tensor::zeros(&[batch_size, self.state_dim]);
-        let mut next_states = Tensor::zeros(&[batch_size, self.state_dim]);
-        for (i, t) in sampled.iter().enumerate() {
-            states.data_mut()[i * self.state_dim..(i + 1) * self.state_dim]
-                .copy_from_slice(&t.state);
-            next_states.data_mut()[i * self.state_dim..(i + 1) * self.state_dim]
-                .copy_from_slice(&t.next_state);
+        // Gather the sampled transitions straight into the batch tensors.
+        states.resize_zeroed(&[batch_size, dim]);
+        next_states.resize_zeroed(&[batch_size, dim]);
+        sampled.clear();
+        let rows = states
+            .data_mut()
+            .chunks_exact_mut(dim)
+            .zip(next_states.data_mut().chunks_exact_mut(dim));
+        for (s, s2) in rows {
+            let i = self.buffer.sample_index(&mut self.rng);
+            let t = &self.buffer.items[i];
+            s.copy_from_slice(&t.state);
+            s2.copy_from_slice(&t.next_state);
+            sampled.push(i);
         }
 
         // Bootstrap targets from the target network (or online, if disabled).
-        let next_q = match &mut self.target {
-            Some(target) => target.forward(&next_states),
-            None => self.online.forward(&next_states),
-        };
-        let q = self.online.forward(&states);
-        let mut grad = Tensor::zeros(q.shape());
+        let next_q = self
+            .target
+            .as_ref()
+            .unwrap_or(&self.online)
+            .infer_reusing(next_states, infer);
+        // Q comes from the training forward that the backward pass reuses.
+        let _t = t_time!("au_nn.train_batch");
+        let q = self.online.forward_train(states);
+        grad.resize_zeroed(q.shape());
         let mut loss = 0.0f32;
-        for (i, t) in sampled.iter().enumerate() {
-            let max_next = (0..self.n_actions)
-                .map(|a| next_q.row_slice(i)[a])
-                .fold(f32::NEG_INFINITY, f32::max);
+        for (row, &i) in sampled.iter().enumerate() {
+            let t = &self.buffer.items[i];
+            let max_next = next_q
+                .row_slice(row)
+                .iter()
+                .fold(f32::NEG_INFINITY, |m, &v| m.max(v));
             let target_value = if t.terminal {
                 t.reward
             } else {
                 t.reward + self.config.gamma * max_next
             };
-            let predicted = q.row_slice(i)[t.action];
+            let predicted = q.row_slice(row)[t.action];
             let d = predicted - target_value;
             // Huber loss on the taken action's output only.
             loss += if d.abs() <= 1.0 {
@@ -357,10 +396,11 @@ impl DqnAgent {
             } else {
                 d.abs() - 0.5
             };
-            grad.data_mut()[i * self.n_actions + t.action] = d.clamp(-1.0, 1.0) / batch_size as f32;
+            grad.data_mut()[row * self.n_actions + t.action] =
+                d.clamp(-1.0, 1.0) / batch_size as f32;
         }
-        self.online
-            .train_with_output_grad(&states, &grad, &mut self.opt);
+        self.online.backward(grad);
+        self.online.step(&mut self.opt);
 
         self.learn_steps += 1;
         self.epsilon = (self.epsilon * self.config.epsilon_decay).max(self.config.epsilon_end);
