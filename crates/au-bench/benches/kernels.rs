@@ -1,5 +1,5 @@
 //! Compute-kernel benches: the blocked/batched kernels against faithful
-//! copies of the pre-overhaul scalar kernels, plus a worker-count sweep.
+//! copies of the pre-overhaul scalar kernels.
 //!
 //! The `naive_*` routines here are byte-for-byte ports of the loops that
 //! `Tensor::matmul` and `Conv2d::forward` shipped with before the kernel
@@ -8,10 +8,9 @@
 //! `AU_BENCH_JSON=BENCH_kernels.json cargo bench --bench kernels` to
 //! regenerate that file.
 //!
-//! Thread-sweep caveat: this container exposes a single core, so the
-//! 1/2/4/8-worker rows bound the cost of oversubscribing the core (the
-//! kernels are bit-identical either way); the headline speedups come from
-//! cache blocking and im2col, not threads.
+//! Kernels always run on the calling thread (au-par parallelism lives only
+//! at the engine-level fan-outs), so the speedups come from cache blocking
+//! and im2col alone.
 
 use au_nn::{Network, Tensor};
 use criterion::{criterion_group, Criterion};
@@ -155,62 +154,7 @@ fn bench_conv_forward(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_thread_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("threads");
-    let size = 256usize;
-    let ta = Tensor::from_vec(&[size, size], pseudo(size * size, 6));
-    let tb = Tensor::from_vec(&[size, size], pseudo(size * size, 7));
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_function(format!("matmul_256/{threads}"), |bch| {
-            au_par::set_thread_override(Some(threads));
-            bch.iter(|| black_box(&ta).matmul(black_box(&tb)));
-            au_par::set_thread_override(None);
-        });
-    }
-    au_nn::set_init_seed(11);
-    let net = Network::builder(128).dense(256).dense(64).build();
-    let batch = Tensor::from_vec(&[512, 128], pseudo(512 * 128, 8));
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_function(format!("dense_infer_512x128/{threads}"), |bch| {
-            au_par::set_thread_override(Some(threads));
-            bch.iter(|| net.infer(black_box(&batch)));
-            au_par::set_thread_override(None);
-        });
-    }
-    group.finish();
-}
-
-/// The small-region workload for the pool-vs-scoped comparison: ~1k cheap
-/// elements, the regime where per-call thread spawning dominated.
-fn small_region_work(i: usize) -> f64 {
-    let x = i as f64 * 0.001;
-    x.sin().mul_add(x, x.sqrt())
-}
-
-fn bench_pool_vs_scoped(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pool_vs_scoped_1k");
-    for threads in [2usize, 4] {
-        group.bench_function(format!("scoped/{threads}"), |bch| {
-            au_par::set_thread_override(Some(threads));
-            bch.iter(|| black_box(au_par::par_map(1024, 64, small_region_work)));
-            au_par::set_thread_override(None);
-        });
-        group.bench_function(format!("pooled/{threads}"), |bch| {
-            au_par::set_thread_override(Some(threads));
-            bch.iter(|| black_box(au_par::pool_map(1024, 64, small_region_work)));
-            au_par::set_thread_override(None);
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_matmul_sweep,
-    bench_conv_forward,
-    bench_thread_sweep,
-    bench_pool_vs_scoped
-);
+criterion_group!(benches, bench_matmul_sweep, bench_conv_forward);
 
 // ---------------------------------------------------------------------
 // BENCH_kernels.json generation (AU_BENCH_JSON=<path>)
@@ -260,14 +204,12 @@ fn write_json(path: &str) {
         );
         let ta = Tensor::from_vec(&[size, size], a.clone());
         let tb = Tensor::from_vec(&[size, size], b.clone());
-        au_par::set_thread_override(Some(1));
         let blocked = measure(
             || {
                 black_box(ta.matmul(&tb));
             },
             samples,
         );
-        au_par::set_thread_override(None);
         if !matmul.is_empty() {
             matmul.push_str(",\n");
         }
@@ -295,64 +237,12 @@ fn write_json(path: &str) {
     );
     let net = conv_net();
     let batch_t = Tensor::from_vec(&[batch, in_c * in_h * in_w], input.clone());
-    au_par::set_thread_override(Some(1));
     let conv_im2col = measure(
         || {
             black_box(net.infer(&batch_t));
         },
         samples,
     );
-    au_par::set_thread_override(None);
-
-    let size = 256usize;
-    let ta = Tensor::from_vec(&[size, size], pseudo(size * size, 6));
-    let tb = Tensor::from_vec(&[size, size], pseudo(size * size, 7));
-    let mut sweep = String::new();
-    for threads in [1usize, 2, 4, 8] {
-        au_par::set_thread_override(Some(threads));
-        let t = measure(
-            || {
-                black_box(ta.matmul(&tb));
-            },
-            samples,
-        );
-        au_par::set_thread_override(None);
-        if !sweep.is_empty() {
-            sweep.push_str(", ");
-        }
-        write!(sweep, "\"{threads}\": {:.0}", t * 1e9).expect("format");
-    }
-
-    // Persistent pool vs per-call scoped spawning, same workload and the
-    // same thread count — the small-region regime the pool exists for.
-    let mut pool_vs_scoped = String::new();
-    for threads in [2usize, 4] {
-        au_par::set_thread_override(Some(threads));
-        let scoped = measure(
-            || {
-                black_box(au_par::par_map(1024, 64, small_region_work));
-            },
-            samples,
-        );
-        let pooled = measure(
-            || {
-                black_box(au_par::pool_map(1024, 64, small_region_work));
-            },
-            samples,
-        );
-        au_par::set_thread_override(None);
-        if !pool_vs_scoped.is_empty() {
-            pool_vs_scoped.push_str(",\n");
-        }
-        write!(
-            pool_vs_scoped,
-            "    \"{threads}\": {{ \"scoped_ns\": {:.0}, \"pooled_ns\": {:.0}, \"speedup\": {:.2} }}",
-            scoped * 1e9,
-            pooled * 1e9,
-            scoped / pooled,
-        )
-        .expect("format");
-    }
 
     // Scalar serving on the reference 64→256→256→4 model: the f64
     // boundary path vs the native-f32 allocation-free path.
@@ -400,14 +290,12 @@ fn write_json(path: &str) {
          \x20   \"im2col_ns\": {:.0},\n\
          \x20   \"speedup\": {:.2}\n\
          \x20 }},\n\
-         \x20 \"thread_sweep_matmul_256_ns\": {{ {sweep} }},\n\
-         \x20 \"pool_vs_scoped_1k\": {{\n{pool_vs_scoped}\n  }},\n\
          \x20 \"serving_dnn_64_256_256_4\": {{\n\
          \x20   \"predict_f64_ns\": {:.0},\n\
          \x20   \"predict_f32_ns\": {:.0},\n\
          \x20   \"speedup\": {:.2}\n\
          \x20 }},\n\
-         \x20 \"note\": \"naive_* are the pre-overhaul kernels; speedups are single-thread (AU_PAR_THREADS=1). The thread sweep is measured on whatever cores the host exposes - on a single-core container extra workers only oversubscribe the core, so the sweep bounds the fan-out overhead rather than showing a speedup. pool_vs_scoped_1k compares per-call scoped spawning against the persistent worker pool on a ~1k-element region at the same thread count; serving_dnn_64_256_256_4 compares the f64 boundary path against native-f32 scalar serving.\"\n\
+         \x20 \"note\": \"naive_* are the pre-overhaul kernels; every kernel runs on one thread. serving_dnn_64_256_256_4 compares the f64 boundary path against native-f32 scalar serving.\"\n\
          }}\n",
         conv_naive * 1e9,
         conv_im2col * 1e9,

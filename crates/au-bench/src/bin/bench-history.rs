@@ -2,7 +2,7 @@
 //!
 //! A deliberately small, fast smoke suite — not the criterion benches —
 //! covering the runtime's hot layers: the gemm kernel, feature
-//! extraction, end-to-end serving, and the au-par fork/join. Each bench
+//! extraction, end-to-end serving, and an au-par pool region. Each bench
 //! is timed as the median over many samples so one preempted sample
 //! cannot fake a regression, and the run lands as one JSON line in
 //! `BENCH_history.jsonl` (see `au_bench::history`).
@@ -193,16 +193,6 @@ fn main() {
             }),
         );
     }
-
-    benches.insert(
-        "par_map_1k".to_owned(),
-        median_ns(samples, 8, || {
-            black_box(au_par::par_map(1024, 64, |i| {
-                let x = i as f64 * 0.001;
-                x.sin().mul_add(x, x.sqrt())
-            }));
-        }),
-    );
 
     benches.insert(
         "pool_map_1k".to_owned(),

@@ -124,7 +124,13 @@ fn bench_history_appends_parseable_runs_that_gate_clean() {
     assert_eq!(runs.len(), 2, "two appended runs");
     assert!(skipped.is_empty(), "{skipped:?}");
     for run in &runs {
-        for expected in ["gemm_64", "gemm_128", "au_extract", "predict", "par_map_1k"] {
+        for expected in [
+            "gemm_64",
+            "gemm_128",
+            "au_extract",
+            "predict",
+            "pool_map_1k",
+        ] {
             let ns = run.benches.get(expected).copied().unwrap_or_default();
             assert!(ns > 0.0, "{expected} missing or non-positive: {ns}");
         }

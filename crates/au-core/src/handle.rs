@@ -1037,7 +1037,9 @@ impl EngineHandle {
 
     /// Batched [`EngineHandle::predict`]: one registry lookup, one read
     /// lock, and one `[batch, features]` forward pass for the whole slice,
-    /// amortizing per-call overhead across the batch.
+    /// amortizing per-call overhead across the batch. The rows are narrowed
+    /// to `f32` once on the way in and the outputs widened once on the way
+    /// out; in between this is [`EngineHandle::predict_batch_f32`].
     ///
     /// # Errors
     ///
@@ -1050,73 +1052,14 @@ impl EngineHandle {
         if xs.is_empty() {
             return Ok(Vec::new());
         }
-        let entry = self
-            .shared
-            .registry
-            .get(model)
-            .ok_or_else(|| AuError::UnknownModel(model.to_owned()))?;
-        let g = read(&entry);
-        // Supervised models share an `Arc<Network>`: clone the handle and
-        // release the read lock, so the batch runs on the persistent pool
-        // (jobs are `'static`) without holding the model entry.
-        let pooled = match g.instance.backend.as_ref() {
-            Some(Backend::Supervised { net, .. }) => Some(Arc::clone(net)),
-            Some(Backend::Reinforcement { .. }) => None,
-            None => return Err(AuError::ModelNotTrained(model.to_owned())),
-        };
-        if let Some(net) = pooled {
-            drop(g);
-            let width = net.in_features();
-            check_batch_widths(model, xs, width)?;
-            // One f64→f32 conversion pass over the whole batch; pool jobs
-            // slice it read-only. Per-range tensor contents are exactly
-            // what the old borrowed path built, and every kernel preserves
-            // per-element accumulation order, so the result is bit-identical
-            // to one full-batch forward pass for every thread count. Inside
-            // a worker the kernels themselves stay serial (nested-region
-            // suppression); with a single range this runs inline and the
-            // kernels may parallelize instead.
-            let mut flat = Vec::with_capacity(xs.len() * width);
-            for x in xs {
-                flat.extend(x.iter().map(|&v| v as f32));
-            }
-            let flat = Arc::new(flat);
-            let chunks = au_par::pool_map_ranges(xs.len(), PREDICT_MIN_ROWS, move |r| {
-                let rows = r.len();
-                let batch = Tensor::from_vec(
-                    &[rows, width],
-                    flat[r.start * width..r.end * width].to_vec(),
-                );
-                let out = net.infer(&batch);
-                (0..rows)
-                    .map(|i| out.row_slice(i).iter().map(|&v| f64::from(v)).collect())
-                    .collect::<Vec<Vec<f64>>>()
-            });
-            t_count!("au_core.predictions_served", xs.len() as u64);
-            return Ok(chunks.into_iter().flatten().collect());
-        }
-        // RL agents expose only a borrowed view of their network, so the
-        // batch fans out on the borrowing scoped path under the read lock.
-        let net = match g.instance.backend.as_ref() {
-            Some(Backend::Reinforcement { agent, .. }) => agent.network(),
-            _ => unreachable!("checked above"),
-        };
-        let width = net.in_features();
-        check_batch_widths(model, xs, width)?;
-        let chunks = au_par::par_map_ranges(xs.len(), PREDICT_MIN_ROWS, |r| {
-            let rows = &xs[r];
-            let mut flat = Vec::with_capacity(rows.len() * width);
-            for x in rows {
-                flat.extend(x.iter().map(|&v| v as f32));
-            }
-            let batch = Tensor::from_vec(&[rows.len(), width], flat);
-            let out = net.infer(&batch);
-            (0..rows.len())
-                .map(|i| out.row_slice(i).iter().map(|&v| f64::from(v)).collect())
-                .collect::<Vec<Vec<f64>>>()
-        });
-        t_count!("au_core.predictions_served", xs.len() as u64);
-        Ok(chunks.into_iter().flatten().collect())
+        let flat: Vec<f32> = xs.iter().flatten().map(|&v| v as f32).collect();
+        let out = self.predict_rows_f32(model, flat, |width| {
+            check_batch_widths(model, xs, width).map(|()| xs.len())
+        })?;
+        Ok(out
+            .chunks_exact(out.len() / xs.len())
+            .map(|row| row.iter().map(|&v| f64::from(v)).collect())
+            .collect())
     }
 
     /// Native-`f32` [`EngineHandle::predict`]: no `f64` boundary
@@ -1200,47 +1143,60 @@ impl EngineHandle {
         if xs.is_empty() {
             return Ok(Vec::new());
         }
+        self.predict_rows_f32(model, xs.to_vec(), |width| {
+            check_flat_width(model, xs, width)
+        })
+    }
+
+    /// The batch core behind both batch methods: runs `model` on the flat
+    /// row-major batch `xs` and returns the flat outputs. `rows` checks
+    /// the batch against the built input width and returns its row count.
+    ///
+    /// Supervised models share an `Arc<Network>`, so the read lock is
+    /// released and batches of more than `PREDICT_MIN_ROWS` rows split
+    /// across the persistent pool (inside a pool worker the split runs
+    /// inline). RL agents expose only a borrowed view of their network, so
+    /// their batch is one forward pass under the read lock. Every kernel
+    /// keeps per-element accumulation order fixed, so the result is
+    /// bit-identical to one full-batch pass at every thread count.
+    fn predict_rows_f32(
+        &self,
+        model: &str,
+        xs: Vec<f32>,
+        rows: impl FnOnce(usize) -> Result<usize, AuError>,
+    ) -> Result<Vec<f32>, AuError> {
+        let infer = |net: &Network, rows: usize, chunk: Vec<f32>| {
+            let batch = Tensor::from_vec(&[rows, net.in_features()], chunk);
+            net.infer(&batch).into_vec()
+        };
         let entry = self
             .shared
             .registry
             .get(model)
             .ok_or_else(|| AuError::UnknownModel(model.to_owned()))?;
         let g = read(&entry);
-        let pooled = match g.instance.backend.as_ref() {
-            Some(Backend::Supervised { net, .. }) => Some(Arc::clone(net)),
-            Some(Backend::Reinforcement { .. }) => None,
+        let net = match g.instance.backend.as_ref() {
+            Some(Backend::Supervised { net, .. }) => Arc::clone(net),
+            Some(Backend::Reinforcement { agent, .. }) => {
+                let net = agent.network();
+                let n = rows(net.in_features())?;
+                t_count!("au_core.predictions_served", n as u64);
+                return Ok(infer(net, n, xs));
+            }
             None => return Err(AuError::ModelNotTrained(model.to_owned())),
         };
-        let infer_chunk = |net: &Network, chunk: &[f32], width: usize| {
-            let rows = chunk.len() / width;
-            let batch = Tensor::from_vec(&[rows, width], chunk.to_vec());
-            net.infer(&batch).into_vec()
-        };
-        if let Some(net) = pooled {
-            drop(g);
-            let width = net.in_features();
-            let rows = check_flat_width(model, xs, width)?;
-            t_count!("au_core.predictions_served", rows as u64);
-            if rows <= PREDICT_MIN_ROWS {
-                // A batch this small is always a single range: skip the
-                // shared-`Arc` copy and feed the caller's rows directly.
-                return Ok(infer_chunk(&net, xs, width));
-            }
-            let flat: Arc<Vec<f32>> = Arc::new(xs.to_vec());
-            let chunks = au_par::pool_map_ranges(rows, PREDICT_MIN_ROWS, move |r| {
-                infer_chunk(&net, &flat[r.start * width..r.end * width], width)
-            });
-            return Ok(chunks.concat());
-        }
-        let net = match g.instance.backend.as_ref() {
-            Some(Backend::Reinforcement { agent, .. }) => agent.network(),
-            _ => unreachable!("checked above"),
-        };
+        drop(g);
         let width = net.in_features();
-        let rows = check_flat_width(model, xs, width)?;
-        t_count!("au_core.predictions_served", rows as u64);
-        let chunks = au_par::par_map_ranges(rows, PREDICT_MIN_ROWS, |r| {
-            infer_chunk(net, &xs[r.start * width..r.end * width], width)
+        let n = rows(width)?;
+        t_count!("au_core.predictions_served", n as u64);
+        if n <= PREDICT_MIN_ROWS {
+            // A batch this small is always a single range: skip the
+            // shared-`Arc` hand-off and run it on this thread.
+            return Ok(infer(&net, n, xs));
+        }
+        let flat = Arc::new(xs);
+        let chunks = au_par::pool_map_ranges(n, PREDICT_MIN_ROWS, move |r| {
+            infer(&net, r.len(), flat[r.start * width..r.end * width].to_vec())
         });
         Ok(chunks.concat())
     }

@@ -80,14 +80,17 @@ fn affine(params: &[Param; 2], input: &Tensor, out: &mut Tensor) {
     );
     let batch = input.batch();
     out.resize_zeroed(&[batch, n]);
-    crate::kernels::gemm_acc_par(
-        out.data_mut(),
-        input.data(),
-        weight.data(),
-        batch,
-        in_features,
-        n,
-    );
+    {
+        let _t = t_time!("au_nn.gemm");
+        crate::kernels::gemm_acc(
+            out.data_mut(),
+            input.data(),
+            weight.data(),
+            batch,
+            in_features,
+            n,
+        );
+    }
     let bias = params[BIAS].value.data();
     for row in out.data_mut().chunks_exact_mut(n) {
         for (o, b) in row.iter_mut().zip(bias) {
@@ -136,7 +139,8 @@ impl Layer for Dense {
         }
         // dx = dy · Wᵀ read straight from W's `[in, out]` rows.
         self.grad_in.resize_zeroed(&[batch, self.in_features]);
-        crate::kernels::gemm_nt_acc_par(
+        let _t = t_time!("au_nn.gemm");
+        crate::kernels::gemm_nt_acc(
             self.grad_in.data_mut(),
             grad_out.data(),
             weight.value.data(),

@@ -33,9 +33,6 @@ const KC: usize = 128;
 /// half of a typical L1D).
 const NR: usize = 32;
 
-/// Minimum multiply-accumulate count before a GEMM is worth threading.
-const PAR_MIN_WORK: usize = 128 * 1024;
-
 /// `out[m,n] += a[m,k] · b[k,n]`, all row-major.
 ///
 /// The caller pre-initializes `out` (zeros for a plain product, a broadcast
@@ -159,41 +156,6 @@ fn axpy_columns(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: us
     }
 }
 
-/// Runs `kernel(out_rows, first_row, rows)` over all `m` output rows,
-/// fanned out across au-par workers when the `m·k·n` product is large
-/// enough to amortize thread spawn.
-///
-/// Row partitioning never touches per-element accumulation order, so a
-/// row kernel gives bit-identical results for every thread count
-/// (including 1).
-fn fan_out_rows(
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    kernel: impl Fn(&mut [f32], usize, usize) + Sync,
-) {
-    let _t = t_time!("au_nn.gemm");
-    if m >= 2 && m * k * n >= PAR_MIN_WORK && !au_par::in_worker() && au_par::max_threads() > 1 {
-        t_count!("au_nn.gemm_parallel");
-        let min_rows = (PAR_MIN_WORK / (k * n).max(1)).max(1);
-        au_par::par_row_chunks_mut(out, n, min_rows, |first, chunk| {
-            let rows = chunk.len() / n;
-            kernel(chunk, first, rows);
-        });
-    } else {
-        kernel(out, 0, m);
-    }
-}
-
-/// [`gemm_acc`] with the output rows fanned out across au-par workers for
-/// large products (see [`fan_out_rows`]).
-pub(crate) fn gemm_acc_par(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    fan_out_rows(out, m, k, n, |chunk, first, rows| {
-        gemm_acc(chunk, &a[first * k..(first + rows) * k], b, rows, k, n);
-    });
-}
-
 /// `out[m,n] += a[m,k] · bᵀ` for `b [n,k]` — the input gradient
 /// `dx = dy·Wᵀ` read straight from the weight layout, with no transposed
 /// copy of W.
@@ -235,14 +197,6 @@ pub(crate) fn gemm_nt_acc(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: us
 /// `init + Σ x[p]·y[p]`, ascending `p`, one add per product.
 fn dot_acc(init: f32, x: &[f32], y: &[f32]) -> f32 {
     x.iter().zip(y).fold(init, |acc, (&s, &w)| acc + s * w)
-}
-
-/// [`gemm_nt_acc`] with the output rows fanned out across au-par workers
-/// for large products (see [`fan_out_rows`]).
-pub(crate) fn gemm_nt_acc_par(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    fan_out_rows(out, m, k, n, |chunk, first, rows| {
-        gemm_nt_acc(chunk, &a[first * k..(first + rows) * k], b, rows, k, n);
-    });
 }
 
 /// `out[k,n] += aᵀ · g` for `a [m,k]`, `g [m,n]` without materializing
@@ -423,28 +377,6 @@ mod tests {
         let mut sparse = vec![0.0f32; k * n];
         gemm_tn_acc_sparse(&mut sparse, &a, &g, m, k, n);
         assert_eq!(bits(&sparse), bits(&dense));
-    }
-
-    #[test]
-    fn parallel_rows_are_bit_identical_to_serial() {
-        let _g = crate::test_support::par_lock();
-        let (m, k, n) = (64, 64, 64);
-        let a = pseudo(m * k, 5);
-        let b = pseudo(k * n, 6);
-        let mut serial = vec![0.0f32; m * n];
-        gemm_acc(&mut serial, &a, &b, m, k, n);
-        let mut serial_nt = vec![0.0f32; m * n];
-        gemm_nt_acc(&mut serial_nt, &a, &b, m, k, n);
-        for threads in [1usize, 2, 4] {
-            au_par::set_thread_override(Some(threads));
-            let mut par = vec![0.0f32; m * n];
-            gemm_acc_par(&mut par, &a, &b, m, k, n);
-            assert_eq!(bits(&par), bits(&serial), "threads={threads}");
-            let mut par = vec![0.0f32; m * n];
-            gemm_nt_acc_par(&mut par, &a, &b, m, k, n);
-            assert_eq!(bits(&par), bits(&serial_nt), "nt threads={threads}");
-        }
-        au_par::set_thread_override(None);
     }
 
     proptest! {

@@ -234,9 +234,8 @@ impl Network {
         };
         // Chunks 1.. go to the persistent pool, each owning a weight-sharing
         // replica and its chunk tensors; chunk 0 runs on the calling thread
-        // through `self` (same merge structure as the scoped version this
-        // replaced — chunk tensors, replica construction, and merge order
-        // are unchanged, so results are too).
+        // through `self`. Chunk tensors, replica construction and merge
+        // order are fixed, so results do not depend on where chunks run.
         let mut fork: au_par::Fork<(Network, f32)> = au_par::Fork::new();
         for r in &ranges[1..] {
             let mut replica = self.deep_clone();

@@ -1,10 +1,8 @@
 //! Persistent worker pool: parked threads that outlive any one region.
 //!
-//! The scoped helpers in the crate root spawn threads per region, which is
-//! fine for big kernels but makes small regions (per-row inference, short
-//! extraction loops) unprofitable. This module keeps a process-wide pool of
-//! parked workers so a region's only cost is pushing closures onto a queue
-//! and waking sleepers.
+//! This module keeps a process-wide pool of parked workers so a region's
+//! only cost is pushing closures onto a queue and waking sleepers — no
+//! thread is spawned per region.
 //!
 //! Shape of the thing:
 //!
@@ -15,22 +13,21 @@
 //!   override keep working). It never shrinks except through
 //!   [`shutdown_pool`].
 //! - **`'static` jobs.** Pool workers outlive any caller's stack frame, so
-//!   jobs must own their data (`FnOnce() + Send + 'static`). Callers with
-//!   borrowed closures keep using the scoped helpers in the crate root;
-//!   the hot engine paths share their inputs via `Arc` and use
-//!   [`pool_map_ranges`] / [`Fork`].
+//!   jobs must own their data (`FnOnce() + Send + 'static`). The engine
+//!   fan-outs share their inputs via `Arc` and use [`pool_map_ranges`] /
+//!   [`Fork`].
 //! - **Order-preserving joins, panic propagation.** [`Fork::join`] returns
 //!   results in submission order and re-raises the first panic (by
 //!   submission order) *after* every job has settled — a panicking region
 //!   never wedges or poisons the pool.
-//! - **Nested-region suppression.** A `Fork` used from inside a pool (or
-//!   scoped) worker runs its jobs inline on the submitting thread, so
+//! - **Nested-region suppression.** A `Fork` used from inside a pool
+//!   worker runs its jobs inline on the submitting thread, so
 //!   nesting degrades to serial execution instead of deadlocking a
 //!   fixed-size pool.
 //! - **Trace-context inheritance.** Jobs capture the forking thread's
 //!   telemetry context when the `Fork` is created and install it on the
-//!   worker, exactly like the scoped helpers — spans opened inside pooled
-//!   workers parent under the span that forked them.
+//!   worker, so spans opened inside pooled workers parent under the span
+//!   that forked them.
 //!
 //! All of this is safe Rust (`forbid(unsafe_code)` is inherited from the
 //! crate root): the queue is a `Mutex<VecDeque>` + `Condvar`, results come
@@ -335,14 +332,14 @@ impl<R: Send + 'static> Fork<R> {
     }
 }
 
-/// [`crate::par_map_ranges`] on the persistent pool: runs `f` once per
-/// range of `split_ranges(len, min_chunk)` and returns the per-range
-/// results in range order. The calling thread takes the first range
-/// instead of idling; the rest go to parked pool workers.
+/// Runs `f` once per range of [`split_ranges(len, min_chunk)`](crate::split_ranges)
+/// and returns the per-range results in range order. The calling thread
+/// takes the first range instead of idling; the rest go to parked pool
+/// workers.
 ///
 /// Requires an owning closure (`Send + Sync + 'static`) — share big
 /// read-only inputs via `Arc` and move clones in. Results are identical
-/// to the scoped helper (and to a serial map) at every thread count.
+/// to a serial map at every thread count.
 pub fn pool_map_ranges<T, F>(len: usize, min_chunk: usize, f: F) -> Vec<T>
 where
     T: Send + 'static,
@@ -374,9 +371,8 @@ where
     out
 }
 
-/// [`crate::par_map`] on the persistent pool: order-preserving parallel
-/// map returning `[f(0), …, f(len-1)]`. Same `'static` requirement as
-/// [`pool_map_ranges`].
+/// Order-preserving parallel map returning `[f(0), …, f(len-1)]`. Same
+/// `'static` requirement as [`pool_map_ranges`].
 pub fn pool_map<T, F>(len: usize, min_chunk: usize, f: F) -> Vec<T>
 where
     T: Send + 'static,
@@ -566,6 +562,8 @@ mod tests {
         set_thread_override(Some(2));
         let outer = pool_map(4, 1, |i| {
             assert!(crate::in_worker());
+            // A nested region sees a single range, so it never queues work.
+            assert_eq!(crate::split_ranges(100, 1).len(), 1);
             // Nested region: must complete inline even though every pool
             // worker is already busy with the outer region.
             let inner = pool_map(10, 1, move |j| i * 10 + j);
@@ -594,8 +592,42 @@ mod tests {
         set_thread_override(None);
     }
 
+    /// A panic in the head chunk, which runs on the calling thread, must
+    /// not leave that thread marked as a worker: later regions it forks
+    /// still split across the pool.
+    #[test]
+    fn panic_in_the_caller_run_chunk_clears_the_worker_mark() {
+        let _g = OVERRIDE_LOCK.lock().unwrap();
+        set_thread_override(Some(4));
+        assert!(!crate::in_worker());
+        let err = std::panic::catch_unwind(|| {
+            pool_map(16, 1, |i| {
+                if i == 0 {
+                    panic!("head chunk exploded");
+                }
+                i
+            })
+        });
+        assert!(err.is_err(), "the panic must propagate to the caller");
+        assert!(!crate::in_worker(), "caller left marked as a worker");
+        assert!(
+            crate::split_ranges(100, 1).len() > 1,
+            "later regions on this thread must still fan out"
+        );
+        set_thread_override(None);
+    }
+
+    #[test]
+    fn empty_input_is_a_no_op() {
+        assert!(pool_map(0, 1, |i| i).is_empty());
+        assert!(crate::split_ranges(0, 4).is_empty());
+        let none: Vec<()> = pool_map_ranges(0, 1, |_| panic!("must not run"));
+        assert!(none.is_empty());
+    }
+
     /// Spans opened inside pooled workers must parent under the forking
-    /// span — same contract as the scoped helpers.
+    /// span — the propagation contract au-core's batch/extraction fan-outs
+    /// rely on.
     #[cfg(feature = "telemetry")]
     #[test]
     fn pooled_worker_spans_parent_under_the_forking_span() {
@@ -623,6 +655,52 @@ mod tests {
         for w in &workers {
             assert_eq!(w.trace_id, root_trace, "worker joined the trace");
             assert_eq!(w.parent_id, root_span, "worker parents under root");
+        }
+        set_thread_override(None);
+    }
+
+    /// A nested region runs inline on its worker (the suppression path),
+    /// so spans it opens must stay on the worker's thread, inside the
+    /// caller's trace, parented under the worker's own span — not under a
+    /// second-generation fork context.
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn nested_region_spans_inherit_the_outer_trace() {
+        let _g = OVERRIDE_LOCK.lock().unwrap();
+        set_thread_override(Some(4));
+        let rec = au_telemetry::global();
+        au_telemetry::enable();
+        let before = rec.span_count();
+        let (root_trace, root_span) = {
+            let root = rec.span("nested_root").expect("enabled");
+            let ids = (root.trace_id().0, root.span_id().0);
+            let _ = pool_map(4, 1, |i| {
+                let _outer = rec.span("nested_outer").expect("enabled");
+                let inner = pool_map(3, 1, |j| {
+                    let _s = rec.span("nested_inner");
+                    j
+                });
+                i + inner.into_iter().sum::<usize>()
+            });
+            ids
+        };
+        au_telemetry::disable();
+        let spans = rec.spans_since(before);
+        let outers: Vec<_> = spans.iter().filter(|s| s.name == "nested_outer").collect();
+        let inners: Vec<_> = spans.iter().filter(|s| s.name == "nested_inner").collect();
+        assert_eq!(outers.len(), 4);
+        assert_eq!(inners.len(), 12);
+        for o in &outers {
+            assert_eq!(o.trace_id, root_trace, "worker span joins the trace");
+            assert_eq!(o.parent_id, root_span, "worker span parents under root");
+        }
+        for i in &inners {
+            assert_eq!(i.trace_id, root_trace, "inner span stays in the trace");
+            let parent = outers
+                .iter()
+                .find(|o| o.span_id == i.parent_id)
+                .expect("inner span parents under one of the worker spans");
+            assert_eq!(i.tid, parent.tid, "nested region ran inline, same thread");
         }
         set_thread_override(None);
     }

@@ -37,7 +37,7 @@
 //! # Incrementality and ordering
 //!
 //! Spans are recorded when their guard drops, so a child always lands in
-//! the recorder buffer before its parent (scoped fork/join workers join
+//! the recorder buffer before its parent (au-par pool workers join
 //! before the forking span closes — see docs/observability.md). The
 //! profiler exploits that: spans accumulate per-trace until the trace root
 //! (`parent_id == 0`) arrives, at which point the whole tree is folded in

@@ -23,9 +23,9 @@
 //! repo's end-to-end tests assert result equality on all nine benchmarks.
 
 use crate::db::{AnalysisDb, VarId};
-use crate::rl::{RlExtraction, RlParams};
+use crate::rl::{prune_candidates, RlExtraction, RlParams};
 use crate::sl::RankedFeature;
-use crate::stats::{euclidean_distance, min_max_scale, variance};
+use crate::stats::min_max_scale;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How much work the static pre-pass saved.
@@ -204,8 +204,7 @@ pub fn extract_rl_pruned(
     params: RlParams,
 ) -> (BTreeMap<VarId, RlExtraction>, PrepruneStats) {
     let _t = t_time!("au_trace.extract_rl_pruned");
-    // Pooled like `extract_rl_detailed`; the inner ε₁ `par_map` runs inline
-    // inside pool workers (nested-region suppression).
+    // Pooled like `extract_rl_detailed`.
     let targets: Vec<VarId> = db.targets().iter().copied().collect();
     let db = db.snapshot();
     let filter = filter.clone();
@@ -242,48 +241,7 @@ pub fn extract_rl_pruned(
             candidates.insert(w, min_max_scale(db.trace(w)));
         }
 
-        // ε₁/ε₂ passes — byte-for-byte the logic of extract_rl_detailed.
-        let order: Vec<VarId> = candidates.keys().copied().collect();
-        let mut deleted: BTreeSet<VarId> = BTreeSet::new();
-        for (i, &w) in order.iter().enumerate() {
-            if deleted.contains(&w) {
-                continue;
-            }
-            let tail = &order[i + 1..];
-            let prune = au_par::par_map(tail.len(), 8, |j| {
-                let x = tail[j];
-                !deleted.contains(&x)
-                    && euclidean_distance(&candidates[&w], &candidates[&x]) <= params.epsilon1
-            });
-            for (&x, doomed) in tail.iter().zip(prune) {
-                if doomed {
-                    deleted.insert(x);
-                }
-            }
-        }
-
-        let mut selected = Vec::new();
-        let mut pruned_unchanging = Vec::new();
-        for &w in &order {
-            if deleted.contains(&w) {
-                continue;
-            }
-            if variance(&candidates[&w]) <= params.epsilon2 {
-                pruned_unchanging.push(w);
-                continue;
-            }
-            selected.push(w);
-        }
-        (
-            v,
-            RlExtraction {
-                candidates: order.clone(),
-                pruned_redundant: deleted.into_iter().collect(),
-                pruned_unchanging,
-                selected,
-            },
-            stats,
-        )
+        (v, prune_candidates(&candidates, params), stats)
     });
 
     let mut total = PrepruneStats::default();

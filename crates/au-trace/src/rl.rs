@@ -2,7 +2,7 @@
 
 use crate::db::{AnalysisDb, VarId};
 use crate::stats::{euclidean_distance, min_max_scale, variance};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Pruning thresholds for [`extract_rl`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,15 +72,14 @@ pub fn extract_rl_detailed(db: &AnalysisDb, params: RlParams) -> BTreeMap<VarId,
     // fan the per-target loop out across the persistent au-par pool. The
     // closure owns an O(1) copy-on-write snapshot of the database (pool
     // jobs are `'static`), and results recombine in target order — the
-    // result is identical for every thread count. The inner ε₁ `par_map`
-    // below runs inline inside pool workers (nested-region suppression).
+    // result is identical for every thread count.
     let targets: Vec<VarId> = db.targets().iter().copied().collect();
     let db = db.snapshot();
     let per_target = au_par::pool_map(targets.len(), 1, move |ti| {
         let v = targets[ti];
         let dep_v = db.dependents(v);
         // UseFunc[dep(v)]: union of usage functions over v's dependents.
-        let mut dep_funcs: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
+        let mut dep_funcs: BTreeSet<&str> = BTreeSet::new();
         for &d in &dep_v {
             dep_funcs.extend(db.use_funcs(d).iter().map(|s| s.as_str()));
         }
@@ -106,56 +105,52 @@ pub fn extract_rl_detailed(db: &AnalysisDb, params: RlParams) -> BTreeMap<VarId,
             candidates.insert(w, min_max_scale(db.trace(w)));
         }
 
-        // Redundancy pruning (ε₁): keep the first of each similar pair.
-        // For a fixed basis `w`, the distance tests against every later
-        // candidate are independent (deleting `x` never changes whether
-        // some other `x'` is within ε₁ of `w`), so each basis row of the
-        // pairwise-distance triangle is computed in parallel and the
-        // deletions applied afterwards — the surviving set is exactly the
-        // sequential algorithm's.
-        let order: Vec<VarId> = candidates.keys().copied().collect();
-        let mut deleted: std::collections::BTreeSet<VarId> = std::collections::BTreeSet::new();
-        for (i, &w) in order.iter().enumerate() {
-            if deleted.contains(&w) {
-                continue;
-            }
-            let tail = &order[i + 1..];
-            let prune = au_par::par_map(tail.len(), 8, |j| {
-                let x = tail[j];
-                !deleted.contains(&x)
-                    && euclidean_distance(&candidates[&w], &candidates[&x]) <= params.epsilon1
-            });
-            for (&x, doomed) in tail.iter().zip(prune) {
-                if doomed {
-                    deleted.insert(x);
-                }
-            }
-        }
-
-        // Variance pruning (ε₂) over the survivors.
-        let mut selected = Vec::new();
-        let mut pruned_unchanging = Vec::new();
-        for &w in &order {
-            if deleted.contains(&w) {
-                continue;
-            }
-            if variance(&candidates[&w]) <= params.epsilon2 {
-                pruned_unchanging.push(w);
-                continue;
-            }
-            selected.push(w);
-        }
-        (
-            v,
-            RlExtraction {
-                candidates: order.clone(),
-                pruned_redundant: deleted.into_iter().collect(),
-                pruned_unchanging,
-                selected,
-            },
-        )
+        (v, prune_candidates(&candidates, params))
     });
     per_target.into_iter().collect()
+}
+
+/// Algorithm 2's pruning passes over one target's candidate map (VarId →
+/// min–max-scaled trace, in interning order): ε₁ redundancy keeps the
+/// first of each pair within `params.epsilon1` of each other, then ε₂
+/// drops survivors whose variance is at most `params.epsilon2`.
+pub(crate) fn prune_candidates(
+    candidates: &BTreeMap<VarId, Vec<f64>>,
+    params: RlParams,
+) -> RlExtraction {
+    let order: Vec<VarId> = candidates.keys().copied().collect();
+    let mut deleted: BTreeSet<VarId> = BTreeSet::new();
+    for (i, &w) in order.iter().enumerate() {
+        if deleted.contains(&w) {
+            continue;
+        }
+        for &x in &order[i + 1..] {
+            if !deleted.contains(&x)
+                && euclidean_distance(&candidates[&w], &candidates[&x]) <= params.epsilon1
+            {
+                deleted.insert(x);
+            }
+        }
+    }
+
+    let mut selected = Vec::new();
+    let mut pruned_unchanging = Vec::new();
+    for &w in &order {
+        if deleted.contains(&w) {
+            continue;
+        }
+        if variance(&candidates[&w]) <= params.epsilon2 {
+            pruned_unchanging.push(w);
+            continue;
+        }
+        selected.push(w);
+    }
+    RlExtraction {
+        candidates: order,
+        pruned_redundant: deleted.into_iter().collect(),
+        pruned_unchanging,
+        selected,
+    }
 }
 
 #[cfg(test)]

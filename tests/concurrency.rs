@@ -51,6 +51,9 @@ fn deployed_engine() -> Engine {
 /// with a single-threaded pass over the same inputs.
 #[test]
 fn threaded_serving_matches_single_threaded() {
+    // Training runs on the au-par pool, which the shutdown test asserts is
+    // empty; hold the guard so the two never overlap.
+    let _g = par_guard();
     let engine = deployed_engine();
     let handle = engine.handle();
 
@@ -124,6 +127,8 @@ fn concurrent_extraction_is_lossless() {
 /// serving fast path used by the `serve_concurrent` benchmark.
 #[test]
 fn threaded_batch_serving_matches_scalar_path() {
+    // Training and 64-row batches run on the au-par pool; see above.
+    let _g = par_guard();
     let engine = deployed_engine();
     let handle = engine.handle();
     let inputs: Vec<Vec<f64>> = (0..64).map(|i| vec![i as f64 / 64.0]).collect();
@@ -163,6 +168,59 @@ fn predict_batch_is_invariant_to_thread_count() {
         au_par::set_thread_override(Some(threads));
         let got = handle.predict_batch("serve", &inputs).expect("batch");
         assert_eq!(got, reference, "threads={threads} changed served bits");
+    }
+    au_par::set_thread_override(None);
+}
+
+/// RL models serve a batch as one forward pass of the agent's network
+/// under the read lock. Every row must equal the scalar path bit for bit,
+/// through both the f64 and the f32 API, at one and at four workers.
+#[test]
+fn rl_batch_serving_matches_scalar_path() {
+    let _g = par_guard();
+    au_nn::set_init_seed(31);
+    let mut engine = Engine::new(Mode::Train);
+    engine
+        .au_config("Q", ModelConfig::q_dnn(&[16]))
+        .expect("config");
+    // A few transitions build the agent: 4 state features, 3 actions.
+    for step in 0..6 {
+        let t = step as f64;
+        engine.au_extract("S", &[t / 6.0, 0.5, -0.25, t % 3.0]);
+        let reward = if step % 2 == 0 { 1.0 } else { -1.0 };
+        engine
+            .au_nn_rl("Q", "S", reward, false, "out", 3)
+            .expect("rl step");
+    }
+    let handle = engine.handle();
+    let rows: Vec<Vec<f64>> = (0..40)
+        .map(|i| {
+            (0..4)
+                .map(|j| ((i * 7 + j * 3) % 17) as f64 / 17.0 - 0.5)
+                .collect()
+        })
+        .collect();
+    let flat: Vec<f32> = rows.iter().flatten().map(|&v| v as f32).collect();
+    let bits64 = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+        rows.iter()
+            .map(|r| r.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+    let bits32 = |xs: &[f32]| -> Vec<u32> { xs.iter().map(|v| v.to_bits()).collect() };
+    for threads in [1usize, 4] {
+        au_par::set_thread_override(Some(threads));
+        let scalar: Vec<Vec<f64>> = rows
+            .iter()
+            .map(|x| handle.predict("Q", x).expect("predict"))
+            .collect();
+        let batch = handle.predict_batch("Q", &rows).expect("batch");
+        assert_eq!(bits64(&batch), bits64(&scalar), "f64 threads={threads}");
+        let scalar32: Vec<f32> = flat
+            .chunks_exact(4)
+            .flat_map(|x| handle.predict_f32("Q", x).expect("predict_f32"))
+            .collect();
+        let batch32 = handle.predict_batch_f32("Q", &flat).expect("batch f32");
+        assert_eq!(bits32(&batch32), bits32(&scalar32), "f32 threads={threads}");
     }
     au_par::set_thread_override(None);
 }
