@@ -1,10 +1,12 @@
 //! The perf-regression gate over `BENCH_history.jsonl`.
 //!
 //! Compares the newest history run (the head) against a baseline — by
-//! default the previous run, or the newest run whose commit matches
-//! `--baseline` — and exits non-zero when any bench got slower past the
-//! threshold. Exit codes: `0` no regression, `1` regression found, `2`
-//! usage or I/O error.
+//! default the latest earlier run measured on the same machine (equal
+//! `Fingerprint`), or the newest run whose commit matches `--baseline` —
+//! and exits non-zero when any bench got slower past the threshold. With
+//! no earlier same-machine run there is nothing like-for-like to compare,
+//! and the gate passes with a notice. Exit codes: `0` no regression, `1`
+//! regression found, `2` usage or I/O error.
 //!
 //! ```text
 //! bench-diff [--history BENCH_history.jsonl] [--threshold 1.30] [--baseline <commit>]
@@ -12,9 +14,10 @@
 //!
 //! The threshold is a ratio: `1.30` fails a bench that is more than 30%
 //! slower than baseline (and more than 200 ns slower in absolute terms —
-//! sub-microsecond medians jitter too much to gate on ratio alone). A
-//! fingerprint mismatch between the two runs is reported as a warning,
-//! not a verdict: cross-machine comparisons are advisory.
+//! sub-microsecond medians jitter too much to gate on ratio alone). An
+//! explicit `--baseline` may name a run from another machine; the
+//! fingerprint mismatch is then reported as a warning, since
+//! cross-machine ratios are advisory.
 
 use au_bench::history::{diff, load, Regression};
 use std::path::PathBuf;
@@ -67,12 +70,16 @@ fn main() {
             .unwrap_or_else(|| {
                 die(&format!("no earlier run with commit prefix {commit:?}"));
             }),
-        None => match runs.len() {
-            0 | 1 => {
-                eprintln!("only one run in history; nothing to compare — passing");
+        None => match runs[..runs.len() - 1]
+            .iter()
+            .rev()
+            .find(|r| r.fingerprint == head.fingerprint)
+        {
+            Some(base) => base,
+            None => {
+                eprintln!("no earlier run on this machine; nothing to compare — passing");
                 return;
             }
-            n => &runs[n - 2],
         },
     };
 

@@ -94,6 +94,46 @@ fn diff_passes_on_identical_runs_and_fails_on_injected_regression() {
 }
 
 #[test]
+fn diff_defaults_to_the_latest_same_machine_run() {
+    let history = temp_history("machine");
+    let mut older = run_with(&[("gemm_64", 100_000.0)]);
+    older.commit = "aaa1111".to_owned();
+    // The newest committed line comes from a faster machine: against it
+    // the head would read as a 2x regression.
+    let mut elsewhere = run_with(&[("gemm_64", 50_000.0)]);
+    elsewhere.commit = "bbb2222".to_owned();
+    elsewhere.fingerprint.cpu_model = "another machine's CPU".to_owned();
+    let mut head = older.clone();
+    head.commit = "ccc3333".to_owned();
+    for run in [&older, &elsewhere, &head] {
+        au_bench::history::append(&history, run).unwrap();
+    }
+    let out = bench_diff(&history, &["--threshold", "1.30"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "same-machine base is equal: {stderr}");
+    assert!(
+        stderr.contains("against base aaa1111"),
+        "diffs against the same-machine line: {stderr}"
+    );
+    // Naming the other machine's run explicitly still compares against
+    // it, with the advisory warning.
+    let pinned = bench_diff(&history, &["--threshold", "1.30", "--baseline", "bbb"]);
+    assert_eq!(pinned.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&pinned.stderr).contains("different machines"));
+
+    // Only other-machine runs before the head: nothing to compare.
+    let lonely = temp_history("lonely");
+    au_bench::history::append(&lonely, &elsewhere).unwrap();
+    au_bench::history::append(&lonely, &head).unwrap();
+    let out = bench_diff(&lonely, &["--threshold", "1.30"]);
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("no earlier run on this machine"));
+
+    std::fs::remove_dir_all(history.parent().unwrap()).ok();
+    std::fs::remove_dir_all(lonely.parent().unwrap()).ok();
+}
+
+#[test]
 fn diff_handles_empty_and_single_run_histories() {
     let history = temp_history("edge");
     // No file at all: usage error, exit 2.

@@ -23,8 +23,8 @@
 use crate::error::AuError;
 use crate::lockwait::pi_lock;
 use crate::model::{
-    net_mut, rl_step, run_model_f32_into, run_model_ref, supervised_step, to_f32, Algorithm,
-    Backend, ModelConfig, ModelInstance, ModelStats,
+    net_mut, rl_step, run_model_f32_into, supervised_step, to_f32, Algorithm, Backend, ModelConfig,
+    ModelInstance, ModelStats,
 };
 use crate::monitoring::BaselineMeta;
 #[cfg(feature = "monitor")]
@@ -519,6 +519,12 @@ impl EngineHandle {
         };
         let have_labels = mode == Mode::Train && labels.iter().all(|l| !l.is_empty());
         let label_flat: Vec<f64> = labels.iter().flatten().copied().collect();
+        // One row through the f32 serving core: narrow once, widen once.
+        let infer = |net: &Network| -> Vec<f64> {
+            let mut out = Vec::with_capacity(net.out_features());
+            run_model_f32_into(net, &to_f32(&input), &mut out);
+            out.into_iter().map(f64::from).collect()
+        };
 
         // Deployment fast path: split and backend already fixed ⇒ serve
         // under the model's read lock so clones predict in parallel.
@@ -537,7 +543,7 @@ impl EngineHandle {
                         });
                     }
                     t_count!("au_core.predictions_served");
-                    fast = Some((run_model_ref(net, &input), s.clone()));
+                    fast = Some((infer(net), s.clone()));
                 }
             }
         }
@@ -588,7 +594,7 @@ impl EngineHandle {
                             *train_steps += 1;
                         }
                         t_count!("au_core.predictions_served");
-                        run_model_ref(net, &input)
+                        infer(net)
                     }
                     Backend::Reinforcement { .. } => unreachable!("ensure_supervised checked"),
                 };
@@ -1009,30 +1015,20 @@ impl EngineHandle {
 
     /// Direct prediction bypassing π — used by experiment harnesses to
     /// score models on held-out inputs. Runs entirely under the model's
-    /// read lock.
+    /// read lock. The row is narrowed to `f32` once and the outputs
+    /// widened once; in between this is [`EngineHandle::predict_f32_into`].
     ///
     /// # Errors
     ///
-    /// [`AuError::UnknownModel`] or [`AuError::ModelNotTrained`].
+    /// [`AuError::UnknownModel`], [`AuError::ModelNotTrained`], or
+    /// [`AuError::InputSizeChanged`] if `x`'s width differs from the built
+    /// network's input width.
     pub fn predict(&self, model: &str, x: &[f64]) -> Result<Vec<f64>, AuError> {
         let _s = t_span!("predict", model = model);
         let _t = t_time!("au_core.predict");
-        t_count!("au_core.predictions_served");
-        let entry = self
-            .shared
-            .registry
-            .get(model)
-            .ok_or_else(|| AuError::UnknownModel(model.to_owned()))?;
-        let g = read(&entry);
-        match g.instance.backend.as_ref() {
-            Some(Backend::Supervised { net, .. }) => Ok(run_model_ref(net, x)),
-            Some(Backend::Reinforcement { agent, .. }) => Ok(agent
-                .q_values_ref(&to_f32(x))
-                .into_iter()
-                .map(f64::from)
-                .collect()),
-            None => Err(AuError::ModelNotTrained(model.to_owned())),
-        }
+        let mut out = Vec::new();
+        self.predict_row_f32(model, &to_f32(x), &mut out)?;
+        Ok(out.into_iter().map(f64::from).collect())
     }
 
     /// Batched [`EngineHandle::predict`]: one registry lookup, one read
@@ -1094,6 +1090,14 @@ impl EngineHandle {
     ) -> Result<(), AuError> {
         let _s = t_span!("predict_f32", model = model);
         let _t = t_time!("au_core.predict_f32");
+        self.predict_row_f32(model, x, out)
+    }
+
+    /// The single-row core behind [`EngineHandle::predict`] and
+    /// [`EngineHandle::predict_f32_into`]: checks `x` against the built
+    /// input width, then appends the model's outputs to `out` under the
+    /// read lock.
+    fn predict_row_f32(&self, model: &str, x: &[f32], out: &mut Vec<f32>) -> Result<(), AuError> {
         t_count!("au_core.predictions_served");
         let entry = self
             .shared
@@ -1585,6 +1589,40 @@ mod tests {
         let batched = h.predict_batch("M", &xs).unwrap();
         for (x, row) in xs.iter().zip(&batched) {
             assert_eq!(&h.predict("M", x).unwrap(), row);
+        }
+    }
+
+    #[test]
+    fn predict_checks_width_for_dnn_and_qlearn_models() {
+        au_nn::set_init_seed(79);
+        let h = EngineHandle::new(Mode::Train);
+        h.au_config("M", ModelConfig::dnn(&[4])).unwrap();
+        h.train_supervised("M", &[vec![0.1, 0.2, 0.3]], &[vec![0.4]], 1)
+            .unwrap();
+        h.au_config("Q", ModelConfig::q_dnn(&[4])).unwrap();
+        h.au_extract("S", &[0.1, 0.2, 0.3]);
+        h.au_nn_rl("Q", "S", 0.0, false, "act", 2).unwrap();
+        for model in ["M", "Q"] {
+            assert!(matches!(
+                h.predict(model, &[0.1, 0.2]),
+                Err(AuError::InputSizeChanged {
+                    built: 3,
+                    got: 2,
+                    ..
+                })
+            ));
+            assert!(matches!(
+                h.predict_f32(model, &[0.1, 0.2]),
+                Err(AuError::InputSizeChanged {
+                    built: 3,
+                    got: 2,
+                    ..
+                })
+            ));
+            assert_eq!(
+                h.predict(model, &[0.1, 0.2, 0.3]).unwrap().len(),
+                if model == "M" { 1 } else { 2 }
+            );
         }
     }
 

@@ -344,11 +344,11 @@ pub(crate) fn supervised_step(
 }
 
 thread_local! {
-    /// Per-thread single-row inference scratch: the input row tensor, the
-    /// layer-output ping-pong buffers, and the f64→f32 conversion buffer.
-    /// Reusing them makes the steady-state serve path allocation-free.
-    static ROW_SCRATCH: RefCell<(Tensor, InferScratch, Vec<f32>)> =
-        RefCell::new((Tensor::default(), InferScratch::default(), Vec::new()));
+    /// Per-thread single-row inference scratch: the input row tensor and
+    /// the layer-output ping-pong buffers. Reusing them makes the
+    /// steady-state serve path allocation-free.
+    static ROW_SCRATCH: RefCell<(Tensor, InferScratch)> =
+        RefCell::new((Tensor::default(), InferScratch::default()));
 }
 
 /// The native-`f32` serving core: runs the model on one feature row,
@@ -356,30 +356,11 @@ thread_local! {
 /// scratch, so the steady state performs zero heap allocations.
 pub(crate) fn run_model_f32_into(net: &Network, input: &[f32], out: &mut Vec<f32>) {
     ROW_SCRATCH.with(|cell| {
-        let (row, scratch, _) = &mut *cell.borrow_mut();
+        let (row, scratch) = &mut *cell.borrow_mut();
         row.set_row(input);
         let y = net.infer_reusing(row, scratch);
         out.extend_from_slice(y.data());
     });
-}
-
-/// Runs the model on `input` (Fig. 8's `runModel` statement). Uses the
-/// pure `&self` inference path so deployment-mode callers can share the
-/// network behind a read lock.
-///
-/// Runs the same scratch-buffer `f32` core as [`run_model_f32_into`] with
-/// exactly one narrowing conversion on the way in and one (exact) widening
-/// on the way out — the same two conversions the old all-allocating path
-/// performed, so results are bit-identical to it.
-pub(crate) fn run_model_ref(net: &Network, input: &[f64]) -> Vec<f64> {
-    ROW_SCRATCH.with(|cell| {
-        let (row, scratch, conv) = &mut *cell.borrow_mut();
-        conv.clear();
-        conv.extend(input.iter().map(|&v| v as f32));
-        row.set_row(conv);
-        let y = net.infer_reusing(row, scratch);
-        y.data().iter().map(|&v| f64::from(v)).collect()
-    })
 }
 
 /// Feeds one RL step to the agent: completes the pending transition with

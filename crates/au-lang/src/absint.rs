@@ -1,14 +1,16 @@
 //! Interprocedural abstract interpretation over the AuLang AST.
 //!
-//! This module powers three consumers from one analysis:
+//! This module powers two consumers from one analysis:
 //!
-//! 1. the bytecode **optimizer** in `compile.rs` (constant folding, branch
-//!    pruning, dead-store elimination, trace-opcode elision),
-//! 2. the **AU011–AU015 lint family** in `au-lint` (dead extracted
+//! 1. the **AU011–AU015 lint family** in `au-lint` (dead extracted
 //!    variables, constant features, unreachable checkpoints, possible
 //!    division by zero, loop-invariant instrumentation), and
-//! 3. the tightened **`StaticFilter`** in `au-trace` (constant-valued
+//! 2. the tightened **`StaticFilter`** in `au-trace`, fed by
+//!    [`crate::static_analysis::analyze_tightened`] (constant-valued
 //!    extraction candidates carry no signal and are pruned).
+//!
+//! The bytecode compiler does not consume it: AST rewriting from these
+//! facts did not pay for itself on the corpus (DESIGN.md §8).
 //!
 //! The engine is a flow- and branch-sensitive abstract interpreter with
 //! three cooperating value domains — intervals with an explicit may-be-NaN
@@ -25,15 +27,15 @@
 //!
 //! Every fact exposed through [`Analysis`] is an *over-approximation
 //! claim*: a span in `folds` evaluates to exactly that value on **every**
-//! concrete execution that reaches it, a span in `totals` is pure and
-//! cannot error, a span in `unreachable` is never executed, and a name in
-//! `constants` only ever holds that one number. The optimizer and the
-//! differential test suite lean on these claims, so the transfer functions
-//! here deliberately mirror `interp.rs` (the semantic oracle) — including
-//! NaN propagation, `-0.0`/`+0.0` distinction, short-circuit evaluation
-//! order, and the arity-check-before-argument-evaluation order of the
-//! builtins. When the analysis runs out of fuel it sets `complete = false`
-//! and all semantic fact sets are emptied rather than left partial.
+//! concrete execution that reaches it, a span in `unreachable` is never
+//! executed, and a name in `constants` only ever holds that one number.
+//! The lints and the tightened filter lean on these claims, so the
+//! transfer functions here deliberately mirror `interp.rs` (the semantic
+//! oracle) — including NaN propagation, `-0.0`/`+0.0` distinction,
+//! short-circuit evaluation order, and the
+//! arity-check-before-argument-evaluation order of the builtins. When the
+//! analysis runs out of fuel it sets `complete = false` and all semantic
+//! fact sets are emptied rather than left partial.
 
 use crate::ast::{BinOp, Expr, ExprKind, Function, Program, Span, Stmt, StmtKind, UnOp};
 use std::collections::btree_map::Entry as BEntry;
@@ -665,7 +667,7 @@ fn join_env_opt(a: Option<Env>, b: Env) -> Option<Env> {
 // Public result types
 // ---------------------------------------------------------------------
 
-/// A provably-constant expression value, ready to splice into the AST.
+/// A provably-constant expression value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Folded {
     /// A numeric constant.
@@ -681,8 +683,6 @@ pub struct DeadStore {
     pub name: String,
     /// Span of the whole `let`/assignment statement.
     pub span: Span,
-    /// Span of the right-hand-side expression.
-    pub value_span: Span,
 }
 
 /// A division site whose divisor interval contains zero.
@@ -708,7 +708,7 @@ pub struct LoopInvariant {
 
 /// Everything the abstract interpreter proved about a program.
 ///
-/// All semantic fact sets (`constants`, `folds`, `totals`, `unreachable`,
+/// All semantic fact sets (`constants`, `folds`, `unreachable`,
 /// `div_zero`) are emptied when `complete` is false; the syntactic passes
 /// (`dead_stores`, `loop_invariant`) are always valid.
 #[derive(Debug, Default)]
@@ -726,8 +726,6 @@ pub struct Analysis {
     /// Expression spans (byte start/end) that always evaluate to one value
     /// *and* are pure — safe to replace with a literal.
     pub folds: HashMap<(usize, usize), Folded>,
-    /// Expression spans that are pure, error-free, and terminating.
-    pub totals: HashSet<(usize, usize)>,
     /// Whether the analysis ran to completion within its fuel budget.
     pub complete: bool,
 }
@@ -759,7 +757,6 @@ struct Analyzer<'a> {
     fuel: u64,
     complete: bool,
     visited: HashSet<(usize, usize)>,
-    totals: HashMap<(usize, usize), bool>,
     folds: HashMap<(usize, usize), Option<Folded>>,
     divs: BTreeMap<(usize, usize), Interval>,
     assigns: BTreeMap<String, AbsVal>,
@@ -802,7 +799,6 @@ impl<'a> Analyzer<'a> {
             fuel: FUEL,
             complete: true,
             visited: HashSet::new(),
-            totals: HashMap::new(),
             folds: HashMap::new(),
             divs: BTreeMap::new(),
             assigns: BTreeMap::new(),
@@ -837,10 +833,6 @@ impl<'a> Analyzer<'a> {
         let out = self.eval_inner(e, env);
         if self.reporting && !e.span.is_dummy() && !is_literal(e) {
             let key = (e.span.start, e.span.end);
-            self.totals
-                .entry(key)
-                .and_modify(|t| *t &= out.total)
-                .or_insert(out.total);
             let cand = if out.total {
                 folded_const(&out.val)
             } else {
@@ -2163,7 +2155,6 @@ fn live_block(
                     out.push(DeadStore {
                         name: name.clone(),
                         span: stmt.span,
-                        value_span: init.span,
                     });
                 }
                 l.kill(name);
@@ -2174,7 +2165,6 @@ fn live_block(
                     out.push(DeadStore {
                         name: name.clone(),
                         span: stmt.span,
-                        value_span: value.span,
                     });
                 }
                 l.kill(name);
@@ -2335,11 +2325,6 @@ pub fn analyze(program: &Program) -> Analysis {
         .folds
         .into_iter()
         .filter_map(|(k, v)| v.map(|f| (k, f)))
-        .collect();
-    analysis.totals = a
-        .totals
-        .into_iter()
-        .filter_map(|(k, t)| t.then_some(k))
         .collect();
     let mut unreachable: Vec<Span> = Vec::new();
     for func in &program.functions {

@@ -61,8 +61,8 @@ mod value;
 mod vm;
 
 pub use ast::{BinOp, Expr, ExprKind, Function, Program, Span, Stmt, StmtKind, UnOp};
-pub use bytecode::{CompiledProgram, OptStats, TraceMode};
-pub use compile::{compile_program, compile_program_opt};
+pub use bytecode::{CompiledProgram, TraceMode};
+pub use compile::compile_program;
 pub use interp::{Interpreter, RunStats};
 pub use lexer::{Lexer, Token, TokenKind};
 pub use parser::parse;

@@ -1,7 +1,7 @@
 //! The AuLang command-line runner.
 //!
 //! ```text
-//! aulang run <file.au> [--engine interp|vm|vm-traced] [--opt] [--preflight] [--input name=value]... [--seed N] [--no-trace]
+//! aulang run <file.au> [--engine interp|vm|vm-traced] [--preflight] [--input name=value]... [--seed N] [--no-trace]
 //! aulang check <file.au> [--deny warnings] [--format json]
 //! aulang dot <file.au>          # dynamic dependence graph (Graphviz)
 //! aulang static <file.au>       # static dependence graph (Graphviz)
@@ -14,9 +14,14 @@
 //! refusals, runtime errors), `2` the invocation or source could not be
 //! processed at all (usage errors, unreadable files, lex/parse errors).
 //! CI can therefore tell "the program is bad" from "the command is bad".
+//! Every argument after `<command> <file>` must be a known flag: an
+//! unknown one (say, a misspelt or retired flag) is a usage error, not
+//! silently ignored.
 //!
 //! `run` defaults to the **bytecode VM** with tracing compiled out — the
-//! fast serving tier. `--engine vm-traced` compiles in selective tracing
+//! fast serving tier. Every VM engine runs the same compiled bytecode
+//! pipeline, superinstruction fusion included; there is no optimizer
+//! switch. `--engine vm-traced` compiles in selective tracing
 //! (only variables the static dependence graph says can reach an
 //! extraction pair are recorded); `--engine interp` uses the tree-walking
 //! interpreter, which stays the semantic oracle. `dot` and `features`
@@ -122,7 +127,7 @@ enum CliError {
 }
 
 fn usage() -> String {
-    "usage: aulang <run|check|dot|static|fmt|features> <file.au> [--engine interp|vm|vm-traced] [--opt] [--preflight] [--deny warnings] [--format json] [--input name=value]... [--seed N] [--no-trace] [-q|--quiet] [-v|--verbose]"
+    "usage: aulang <run|check|dot|static|fmt|features> <file.au> [--engine interp|vm|vm-traced] [--preflight] [--deny warnings] [--format json] [--input name=value]... [--seed N] [--no-trace] [-q|--quiet] [-v|--verbose]"
         .to_owned()
 }
 
@@ -177,11 +182,56 @@ impl Exec {
     }
 }
 
+/// The flags after `<command> <file>`, parsed in one pass.
+#[derive(Default)]
+struct Flags<'a> {
+    engine: Option<&'a str>,
+    deny_warnings: bool,
+    json: bool,
+    inputs: Vec<&'a str>,
+    seed: Option<&'a str>,
+    preflight: bool,
+    no_trace: bool,
+}
+
+/// Parses the flags after `<command> <file>`. Any argument that is not a
+/// known flag, or a flag missing its value, is a usage error.
+fn parse_flags(rest: &[String]) -> Result<Flags<'_>, CliError> {
+    let usage_err = |msg: String| CliError::Usage(format!("{msg}\n{}", usage()));
+    let mut flags = Flags::default();
+    let mut it = rest.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        match arg {
+            "--preflight" => flags.preflight = true,
+            "--no-trace" => flags.no_trace = true,
+            "--engine" | "--deny" | "--format" | "--input" | "--seed" => {
+                let value = it
+                    .next()
+                    .ok_or_else(|| usage_err(format!("`{arg}` needs a value")))?;
+                match (arg, value) {
+                    ("--engine", v) => flags.engine = Some(v),
+                    ("--deny", "warnings") => flags.deny_warnings = true,
+                    ("--format", "json") => flags.json = true,
+                    ("--input", v) => flags.inputs.push(v),
+                    ("--seed", v) => flags.seed = Some(v),
+                    (flag, v) => return Err(usage_err(format!("bad `{flag}` value `{v}`"))),
+                }
+            }
+            other if other.starts_with('-') => {
+                return Err(usage_err(format!("unknown flag `{other}`")))
+            }
+            other => return Err(usage_err(format!("unexpected argument `{other}`"))),
+        }
+    }
+    Ok(flags)
+}
+
 fn run(args: &[String], verbosity: u8) -> Result<(), CliError> {
     let (command, file) = match (args.first(), args.get(1)) {
         (Some(c), Some(f)) => (c.as_str(), f.as_str()),
         _ => return Err(CliError::Usage(usage())),
     };
+    let flags = parse_flags(&args[2..])?;
     let source = std::fs::read_to_string(file)
         .map_err(|e| CliError::Usage(format!("cannot read {file}: {e}")))?;
     let bad_source = |e: au_lang::LangError| CliError::Usage(e.to_string());
@@ -199,14 +249,8 @@ fn run(args: &[String], verbosity: u8) -> Result<(), CliError> {
             Ok(())
         }
         "check" => {
-            let deny_warnings = args
-                .windows(2)
-                .any(|w| w[0] == "--deny" && w[1] == "warnings");
-            let json = args
-                .windows(2)
-                .any(|w| w[0] == "--format" && w[1] == "json");
             let diags = au_lint::lint_source(&source).map_err(bad_source)?;
-            if json {
+            if flags.json {
                 println!("{}", au_lint::diagnostics_to_json(&diags));
             } else if diags.is_empty() {
                 diag(INFO, verbosity, &format!("{file}: no diagnostics"));
@@ -221,7 +265,7 @@ fn run(args: &[String], verbosity: u8) -> Result<(), CliError> {
                 Err(CliError::Failure(format!(
                     "{file}: {errors} protocol error(s)"
                 )))
-            } else if deny_warnings && !diags.is_empty() {
+            } else if flags.deny_warnings && !diags.is_empty() {
                 Err(CliError::Failure(format!(
                     "{file}: {} warning(s) denied by --deny warnings",
                     diags.len()
@@ -231,7 +275,7 @@ fn run(args: &[String], verbosity: u8) -> Result<(), CliError> {
             }
         }
         "run" | "dot" | "features" => {
-            if args.iter().any(|a| a == "--preflight") {
+            if flags.preflight {
                 let diags = au_lint::lint_source(&source).map_err(bad_source)?;
                 if !diags.is_empty() {
                     eprint!("{}", au_lint::render_all(&diags, file));
@@ -242,26 +286,16 @@ fn run(args: &[String], verbosity: u8) -> Result<(), CliError> {
                     )));
                 }
             }
-            let engine = args
-                .windows(2)
-                .find(|w| w[0] == "--engine")
-                .map(|w| w[1].as_str())
-                // `run` serves from the VM by default; `dot`/`features`
-                // need the dependence graph, so they default to the
-                // (always fully traced) interpreter.
+            // `run` serves from the VM by default; `dot`/`features` need
+            // the dependence graph, so they default to the (always fully
+            // traced) interpreter.
+            let engine = flags
+                .engine
                 .unwrap_or(if command == "run" { "vm" } else { "interp" });
-            let no_trace = args.iter().any(|a| a == "--no-trace");
-            let optimize = args.iter().any(|a| a == "--opt");
             let mut exec = match engine {
                 "interp" => {
-                    if optimize {
-                        return Err(CliError::Usage(
-                            "--opt applies to the bytecode VM (use --engine vm or vm-traced)"
-                                .to_owned(),
-                        ));
-                    }
                     let mut interp = Interpreter::compile(&source).map_err(bad_source)?;
-                    interp.set_tracing(!no_trace);
+                    interp.set_tracing(!flags.no_trace);
                     Exec::Interp(Box::new(interp))
                 }
                 "vm" | "vm-traced" => {
@@ -269,7 +303,7 @@ fn run(args: &[String], verbosity: u8) -> Result<(), CliError> {
                     // wants the full graph, `features` and `vm-traced`
                     // runs use the statically pruned selective tier, and
                     // a plain `run` compiles tracing out entirely.
-                    let mode = if no_trace {
+                    let mode = if flags.no_trace {
                         TraceMode::Off
                     } else if command == "dot" {
                         TraceMode::Full
@@ -278,11 +312,7 @@ fn run(args: &[String], verbosity: u8) -> Result<(), CliError> {
                     } else {
                         TraceMode::Off
                     };
-                    let vm = if optimize {
-                        Vm::compile_opt(&source, mode).map_err(bad_source)?
-                    } else {
-                        Vm::compile(&source, mode).map_err(bad_source)?
-                    };
+                    let vm = Vm::compile(&source, mode).map_err(bad_source)?;
                     diag(
                         DEBUG,
                         verbosity,
@@ -294,17 +324,6 @@ fn run(args: &[String], verbosity: u8) -> Result<(), CliError> {
                             vm.effective_trace_mode()
                         ),
                     );
-                    if optimize {
-                        let s = vm.compiled().opt_stats();
-                        diag(
-                            DEBUG,
-                            verbosity,
-                            &format!(
-                                "optimizer: {} folded, {} branches pruned, {} dead stores, {} fused, {} trace ops elided",
-                                s.folded, s.pruned_branches, s.dead_stores, s.fused, s.trace_elided
-                            ),
-                        );
-                    }
                     Exec::Vm(Box::new(vm))
                 }
                 other => {
@@ -313,25 +332,20 @@ fn run(args: &[String], verbosity: u8) -> Result<(), CliError> {
                     )))
                 }
             };
-            for window in args[2..].windows(2) {
-                match (window[0].as_str(), window[1].as_str()) {
-                    ("--input", pair) => {
-                        let (name, value) = pair.split_once('=').ok_or_else(|| {
-                            CliError::Usage(format!("--input needs name=value, got `{pair}`"))
-                        })?;
-                        let value: f64 = value.parse().map_err(|e| {
-                            CliError::Usage(format!("input {name} is not numeric: {e}"))
-                        })?;
-                        exec.set_input(name, Value::Num(value));
-                    }
-                    ("--seed", n) => {
-                        let seed: u64 = n
-                            .parse()
-                            .map_err(|e| CliError::Usage(format!("bad --seed value: {e}")))?;
-                        exec.set_seed(seed);
-                    }
-                    _ => {}
-                }
+            for pair in &flags.inputs {
+                let (name, value) = pair.split_once('=').ok_or_else(|| {
+                    CliError::Usage(format!("--input needs name=value, got `{pair}`"))
+                })?;
+                let value: f64 = value
+                    .parse()
+                    .map_err(|e| CliError::Usage(format!("input {name} is not numeric: {e}")))?;
+                exec.set_input(name, Value::Num(value));
+            }
+            if let Some(n) = flags.seed {
+                let seed: u64 = n
+                    .parse()
+                    .map_err(|e| CliError::Usage(format!("bad --seed value: {e}")))?;
+                exec.set_seed(seed);
             }
             diag(DEBUG, verbosity, &format!("running {file} ({command})"));
             let result = exec.run().map_err(CliError::Failure)?;

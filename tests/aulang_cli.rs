@@ -1,8 +1,8 @@
 //! End-to-end pinning of the `aulang` binary's exit-code contract:
 //! `0` success, `1` the program was understood but failed (denied lint
 //! findings, runtime errors), `2` the invocation or source could not be
-//! processed (usage, unreadable file, parse error). Also pins that
-//! `run --opt` is observably identical to a plain `run`.
+//! processed (usage, unreadable file, parse error). Also pins that an
+//! unknown flag is a usage error rather than silently ignored.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -79,30 +79,39 @@ fn runtime_errors_exit_one() {
 }
 
 #[test]
-fn run_opt_matches_plain_run() {
+fn retired_opt_flag_is_a_usage_error_on_every_engine() {
     let example = format!(
         "{}/examples/aulang/threshold.au",
         env!("CARGO_MANIFEST_DIR")
     );
-    let plain = aulang(&["run", &example, "--seed", "7"]);
-    let opt = aulang(&["run", &example, "--seed", "7", "--opt"]);
-    assert_eq!(code(&plain), 0);
-    assert_eq!(code(&opt), 0);
-    assert_eq!(
-        String::from_utf8_lossy(&plain.stdout),
-        String::from_utf8_lossy(&opt.stdout),
-        "--opt must not change observable output"
-    );
+    for engine in ["interp", "vm", "vm-traced"] {
+        let out = aulang(&["run", &example, "--engine", engine, "--opt"]);
+        assert_eq!(code(&out), 2, "--opt on {engine}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("--opt"),
+            "the message names the flag"
+        );
+    }
+    assert_eq!(code(&aulang(&["run", &example, "--opt"])), 2);
 }
 
 #[test]
-fn opt_on_the_interpreter_is_a_usage_error() {
+fn unknown_flags_are_usage_errors() {
     let example = format!(
         "{}/examples/aulang/threshold.au",
         env!("CARGO_MANIFEST_DIR")
     );
-    assert_eq!(
-        code(&aulang(&["run", &example, "--engine", "interp", "--opt"])),
-        2
-    );
+    for command in ["run", "check", "fmt"] {
+        let out = aulang(&[command, &example, "--bogus"]);
+        assert_eq!(code(&out), 2, "{command} --bogus");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("--bogus"),
+            "the message names the flag"
+        );
+    }
+    // A value-taking flag at the end of the line has no value to take.
+    assert_eq!(code(&aulang(&["run", &example, "--seed"])), 2);
+    // Known flags with their values still run.
+    let ok = aulang(&["run", &example, "--seed", "7", "--input", "amplitude=0.8"]);
+    assert_eq!(code(&ok), 0, "{}", String::from_utf8_lossy(&ok.stderr));
 }
